@@ -43,6 +43,29 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational")
 
 
+def float_below(t) -> float:
+    """The largest float <= the rational t: for every float x, ``x <= t``
+    exactly iff ``x <= float_below(t)``."""
+    f = float(t)
+    return math.nextafter(f, -math.inf) if f > t else f
+
+
+def float_above(t) -> float:
+    """The smallest float >= the rational t: for every float x, ``x >= t``
+    exactly iff ``x >= float_above(t)``."""
+    f = float(t)
+    return math.nextafter(f, math.inf) if f < t else f
+
+
+class FloatClosures:
+    """Base of immutable values that cache float closures in ``_float*``
+    attributes.  Pickled state leaves the closures out; they are built again
+    on first use."""
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if not k.startswith("_float")}
+
+
 def snap_to_rational(x: float, max_denominator: int = 10**12) -> Fraction:
     """Snap a float to a nearby rational with bounded denominator."""
     if math.isnan(x) or math.isinf(x):

@@ -7,6 +7,15 @@ Box and triangle CDFs are piecewise polynomials with rational coefficients,
 so evaluation at a rational point is exact; the Gaussian CDF goes through
 ``math.erf`` (absolute error well below 1e-14).
 
+Rational queries stay on that exact path.  A float query, the kind every
+certification grid, squeeze and quadrature makes, goes through a float
+closure instead.  Each node and density builds it once from its children's
+closures and caches it on the instance.  The closure repeats the mixed
+Fraction/float arithmetic bit for bit: each rational operand becomes the float
+the mixed arithmetic would convert it to, each exact comparison with a
+rational knot becomes one with the nearest float on the correct side, and a
+branch that yields an int 0 or 1, or an exact Fraction, still does.
+
 Effects form expression trees over smear and constant leaves with three node
 kinds: orthosum (built only after certifying the pointwise sum stays below
 one), rational scaling, and complement-in-one.  Every tree caches a certified
@@ -26,7 +35,15 @@ from fractions import Fraction
 from functools import cached_property
 from statistics import NormalDist
 
-from .common import NEG_INF, POS_INF, as_fraction, is_infinite
+from .common import (
+    NEG_INF,
+    POS_INF,
+    FloatClosures,
+    as_fraction,
+    float_above,
+    float_below,
+    is_infinite,
+)
 from .errors import CannotCertify, NotOrthogonal, UnsharpError
 from .intervals import IntervalSet, intersect, is_subset
 
@@ -45,7 +62,7 @@ _CLAMP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class BoxDensity:
+class BoxDensity(FloatClosures):
     """Uniform density on (-width/2, width/2); total mass 1."""
 
     width: Fraction
@@ -71,6 +88,23 @@ class BoxDensity:
             return 1
         return (x + h) / self.width
 
+    @cached_property
+    def _float_cdf(self):
+        h = self.width / 2
+        try:
+            left, right, fh, fw = float_below(-h), float_above(h), float(h), float(self.width)
+        except OverflowError:  # a width beyond float range: keep the mixed arithmetic
+            return self.cdf
+
+        def cdf(x):
+            if x <= left:
+                return 0
+            if x >= right:
+                return 1
+            return (x + fh) / fw
+
+        return cdf
+
     def upper_tail(self, t):
         """Mass of the density above t, for t >= 0; exact."""
         if t >= self.width / 2:
@@ -86,7 +120,7 @@ class BoxDensity:
 
 
 @dataclass(frozen=True)
-class TriangleDensity:
+class TriangleDensity(FloatClosures):
     """Symmetric triangular density on (-half_width, half_width)."""
 
     half_width: Fraction
@@ -114,6 +148,25 @@ class TriangleDensity:
             return (x + h) * (x + h) / (2 * h * h)
         return 1 - (h - x) * (h - x) / (2 * h * h)
 
+    @cached_property
+    def _float_cdf(self):
+        h = self.half_width
+        try:
+            left, right, fh, f2hh = float_below(-h), float_above(h), float(h), float(2 * h * h)
+        except OverflowError:  # a width beyond float range: keep the mixed arithmetic
+            return self.cdf
+
+        def cdf(x):
+            if x <= left:
+                return 0
+            if x >= right:
+                return 1
+            if x <= 0:
+                return (x + fh) * (x + fh) / f2hh
+            return 1 - (fh - x) * (fh - x) / f2hh
+
+        return cdf
+
     def upper_tail(self, t):
         if t >= self.half_width:
             return 0
@@ -128,7 +181,7 @@ class TriangleDensity:
 
 
 @dataclass(frozen=True)
-class GaussianDensity:
+class GaussianDensity(FloatClosures):
     """Gaussian density with standard deviation sigma (evaluated in floats)."""
 
     sigma: Fraction
@@ -149,6 +202,11 @@ class GaussianDensity:
     def cdf(self, x) -> float:
         z = float(x) / float(self.sigma)
         return 0.5 * (1.0 + math.erf(z / _SQRT2))
+
+    @cached_property
+    def _float_cdf(self):
+        s, erf = float(self.sigma), math.erf
+        return lambda x: 0.5 * (1.0 + erf(x / s / _SQRT2))
 
     def upper_tail(self, t) -> float:
         z = float(t) / float(self.sigma)
@@ -184,8 +242,11 @@ def gaussian(sigma) -> GaussianDensity:
 # effect trees
 
 
-class Effect:
-    """Base class; all nodes are immutable and cache their certified bounds."""
+class Effect(FloatClosures):
+    """Base class; all nodes are immutable and cache their certified bounds.
+
+    ``value_at(q)`` hands a float q to ``_float_value``, the node's cached
+    float closure, and evaluates every other q exactly."""
 
     def value_at(self, q):
         raise NotImplementedError
@@ -203,6 +264,12 @@ class Effect:
     def range_hi(self) -> Fraction:
         return self.range_bounds[1]
 
+    @cached_property
+    def _float_range(self):
+        # for every float v: v < lo iff v < first, and v > hi iff v > second
+        lo, hi = self.range_bounds
+        return float_above(lo), float_below(hi)
+
 
 @dataclass(frozen=True)
 class Constant(Effect):
@@ -215,6 +282,10 @@ class Constant(Effect):
 
     def value_at(self, q):
         return self.value
+
+    @cached_property
+    def _float_value(self):
+        return lambda q, value=self.value: value
 
     @cached_property
     def range_bounds(self):
@@ -268,6 +339,8 @@ class SmearedIndicator(Effect):
         return tuple(pts)
 
     def value_at(self, q):
+        if q.__class__ is float:
+            return self._float_value(q)
         cdf = self.density.cdf
         total = 0
         for a, b in self._pairs:
@@ -275,6 +348,24 @@ class SmearedIndicator(Effect):
             lower = 0 if is_infinite(b) else cdf(q - b)
             total = total + (upper - lower)
         return total
+
+    @cached_property
+    def _float_value(self):
+        cdf = self.density._float_cdf
+        pairs = tuple(
+            (None if is_infinite(a) else float(a), None if is_infinite(b) else float(b))
+            for a, b in self._pairs
+        )
+
+        def value(q):
+            total = 0
+            for a, b in pairs:
+                upper = 1 if a is None else cdf(q - a)
+                lower = 0 if b is None else cdf(q - b)
+                total = total + (upper - lower)
+            return total
+
+        return value
 
     @cached_property
     def range_bounds(self):
@@ -344,7 +435,14 @@ class OrthoSum(Effect):
     right: Effect
 
     def value_at(self, q):
+        if q.__class__ is float:
+            return self._float_value(q)
         return self.left.value_at(q) + self.right.value_at(q)
+
+    @cached_property
+    def _float_value(self):
+        left, right = self.left._float_value, self.right._float_value
+        return lambda q: left(q) + right(q)
 
     @cached_property
     def range_bounds(self):
@@ -395,7 +493,24 @@ class Scaled(Effect):
             raise ValueError("scale factor must lie in (0, 1]")
 
     def value_at(self, q):
+        if q.__class__ is float:
+            return self._float_value(q)
         return self.factor * self.inner.value_at(q)
+
+    @cached_property
+    def _float_value(self):
+        inner, a, fa = self.inner._float_value, self.factor, float(self.factor)
+        # a far-away smear yields an int 0 or 1, and a times it stays exact
+        exact = {0: a * 0, 1: a * 1}
+
+        def value(q):
+            v = inner(q)
+            if v.__class__ is float:
+                return fa * v
+            p = exact.get(v)
+            return a * v if p is None else p
+
+        return value
 
     @cached_property
     def range_bounds(self):
@@ -433,7 +548,14 @@ class Complemented(Effect):
     inner: Effect
 
     def value_at(self, q):
+        if q.__class__ is float:
+            return self._float_value(q)
         return 1 - self.inner.value_at(q)
+
+    @cached_property
+    def _float_value(self):
+        inner = self.inner._float_value
+        return lambda q: 1 - inner(q)
 
     @cached_property
     def range_bounds(self):
@@ -508,11 +630,12 @@ def evaluate(f: Effect, q):
     if isinstance(v, (Fraction, int)):
         return v
     lo, hi = f.range_bounds
-    if v < lo:
+    float_lo, float_hi = f._float_range
+    if v < float_lo:
         if v < float(lo) - _CLAMP_SLACK:
             raise UnsharpError(f"evaluation {v!r} escaped certified range [{lo}, {hi}]")
         return float(lo)
-    if v > hi:
+    if v > float_hi:
         if v > float(hi) + _CLAMP_SLACK:
             raise UnsharpError(f"evaluation {v!r} escaped certified range [{lo}, {hi}]")
         return float(hi)

@@ -10,6 +10,11 @@ can check the other without sharing failure modes.
 
 Sharp states induced by filter bases are partial: :func:`eval_sharp` answers
 1, 0, or :data:`~unsharp.common.UNDETERMINED` and is never totalized.
+
+:func:`cdf` is exact at rational points.  At a finite float point it calls a
+closure cached on the model, which repeats the mixed Fraction/float arithmetic
+bit for bit, so bisection in :func:`ppf` draws exactly what it drew before.
+The closed-form :func:`ppf` branches cache their float parameters the same way.
 """
 
 from __future__ import annotations
@@ -17,9 +22,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 from statistics import NormalDist
 
-from .common import NEG_INF, POS_INF, UNDETERMINED, as_fraction, is_infinite
+from .common import (
+    NEG_INF,
+    POS_INF,
+    UNDETERMINED,
+    FloatClosures,
+    as_fraction,
+    float_above,
+    float_below,
+    is_infinite,
+)
 from .effects import Effect, effect_range_on, evaluate
 from .filters import FilterBase, escaping_base
 from .intervals import Interval, IntervalSet, REALS
@@ -27,14 +42,52 @@ from .quadrature import adaptive_simpson_pieces, gauss_legendre
 from .quotient import QuotientClass, point_membership_state, q_leq, q_not
 
 _STD_NORMAL = NormalDist()
+_SQRT2 = math.sqrt(2.0)
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
 # density models
 
 
+class _Model(FloatClosures):
+    @cached_property
+    def _float_cdf(self):
+        """``cdf(self, x)`` for finite float x, built once.  Each rational
+        becomes the float the mixed arithmetic converts it to, and each exact
+        comparison with a uniform end becomes one with the nearest float on
+        the correct side, so every result keeps its bits and its type."""
+        try:
+            terms = [
+                (w, float(w), float_below(c.lo), float_above(c.hi), float(c.lo), float(c.hi - c.lo))
+                if isinstance(c, Uniform)
+                else (w, float(w), None, None, float(c.mean), float(c.sigma))
+                for w, c in _as_parts(self)
+            ]
+        except OverflowError:  # a parameter beyond float range: keep the mixed arithmetic
+            return partial(_mixed_cdf, self)
+        erf = math.erf
+
+        def cdf(x):
+            # w * 0 and w * 1 stay exact until the total turns float, and a
+            # float total adds them as float(w * 0) == 0.0 and float(w) == fw
+            total = 0
+            for w, fw, below, above, shift, spread in terms:
+                if below is None:
+                    total = total + fw * (0.5 * (1.0 + erf((x - shift) / spread / _SQRT2)))
+                elif x <= below:
+                    total = total + 0.0 if total.__class__ is float else total + _ZERO
+                elif x >= above:
+                    total = total + fw if total.__class__ is float else total + w
+                else:
+                    total = total + fw * ((x - shift) / spread)
+            return total
+
+        return cdf
+
+
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Model):
     lo: Fraction
     hi: Fraction
 
@@ -44,12 +97,17 @@ class Uniform:
         if not self.lo < self.hi:
             raise ValueError("uniform model needs lo < hi")
 
+    @cached_property
+    def _float_ppf(self):
+        lo, hi = float(self.lo), float(self.hi)
+        return lambda u: lo + (hi - lo) * u
+
     def describe(self) -> str:
         return f"uniform({self.lo}, {self.hi})"
 
 
 @dataclass(frozen=True)
-class Normal:
+class Normal(_Model):
     mean: Fraction
     sigma: Fraction
 
@@ -59,12 +117,16 @@ class Normal:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
+    @cached_property
+    def _float_ppf(self):
+        return NormalDist(float(self.mean), float(self.sigma)).inv_cdf
+
     def describe(self) -> str:
         return f"gaussian({self.mean}, {self.sigma})"
 
 
 @dataclass(frozen=True)
-class Mixture:
+class Mixture(_Model):
     """Finite convex mixture; weights are exact and sum to one."""
 
     parts: tuple
@@ -120,7 +182,14 @@ def pdf(d, x) -> float:
 
 def cdf(d, x):
     """Distribution function; exact rational when every part is uniform and
-    x is exact, float otherwise."""
+    x is exact, float otherwise.  A finite float x goes through the model's
+    cached closure, which repeats the mixed arithmetic bit for bit."""
+    if x.__class__ is float and -math.inf < x < math.inf:
+        return d._float_cdf(x)
+    return _mixed_cdf(d, x)
+
+
+def _mixed_cdf(d, x):
     total = 0
     for w, comp in _as_parts(d):
         if isinstance(comp, Uniform):
@@ -137,7 +206,7 @@ def cdf(d, x):
                 part = 0 if x < 0 else 1
             else:
                 z = (float(x) - float(comp.mean)) / float(comp.sigma)
-                part = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+                part = 0.5 * (1.0 + math.erf(z / _SQRT2))
         total = total + w * part
     return total
 
@@ -147,10 +216,8 @@ def ppf(d, u: float) -> float:
     bisection to 1e-12 for mixtures."""
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie strictly between 0 and 1")
-    if isinstance(d, Uniform):
-        return float(d.lo) + (float(d.hi) - float(d.lo)) * u
-    if isinstance(d, Normal):
-        return NormalDist(float(d.mean), float(d.sigma)).inv_cdf(u)
+    if isinstance(d, (Uniform, Normal)):
+        return d._float_ppf(u)
     lo, hi = _bracket(d, u)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -181,7 +248,10 @@ def _bracket(d, u: float):
 
 
 def support(d) -> IntervalSet:
-    """Closed support: the smallest closed set of full probability."""
+    """Closed support: the smallest closed set of full probability.  It is the
+    set a density state assigns to the position question as a whole (the
+    literal intersection of all probability-one sets is empty, since
+    co-singletons qualify)."""
     pieces = []
     for _, comp in _as_parts(d):
         if isinstance(comp, Uniform):
@@ -198,13 +268,6 @@ def model_knots(d):
             pts.add(comp.lo)
             pts.add(comp.hi)
     return pts
-
-
-def set_value(d) -> IntervalSet:
-    """The set a density state assigns to the position question as a whole:
-    its essential support (the literal intersection of all probability-one
-    sets is empty, since co-singletons qualify)."""
-    return support(d)
 
 
 # ---------------------------------------------------------------------------

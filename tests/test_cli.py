@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, config plumbing, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +224,31 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run_capture(["verify", "--suite", "nope"], capsys)
         assert code == 1 and "unknown" in err
+
+
+# Recorded argv, exit code and stdout SHA-256 of CLI runs; read only.
+GOLDEN_FILE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "cli.json"
+
+
+def _golden_cases():
+    cases = json.loads(GOLDEN_FILE.read_text())
+    groups = {"density": [], "escaping": [], "simulate": cases["sample"]}
+    for case in cases["numeric"]:
+        kind = case["argv"][2].partition(":")[0]
+        if kind in groups:
+            groups[kind].append(case)
+    return [
+        pytest.param(case, id=f"{kind}-{i:02d}")
+        for kind, group in groups.items()
+        for i, case in enumerate(group)
+    ]
+
+
+class TestGoldenOutputs:
+    """Same argv, same bytes: density and escaping states and simulations."""
+
+    @pytest.mark.parametrize("case", _golden_cases())
+    def test_stdout_digest(self, case, capsys):
+        code, out, _ = run_capture(case["argv"], capsys)
+        assert code == case["code"]
+        assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]

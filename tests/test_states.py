@@ -22,8 +22,8 @@ from unsharp.states import (
     mixture_expectation,
     normal,
     ppf,
-    set_value,
     sharp_probability,
+    support,
     uniform,
 )
 
@@ -63,18 +63,18 @@ class TestSharpProbability:
 
 class TestSetValue:
     def test_uniform(self):
-        assert str(set_value(uniform(0, 1))) == "[0, 1]"
+        assert str(support(uniform(0, 1))) == "[0, 1]"
 
     def test_gaussian_full_line(self):
-        assert str(set_value(normal(Fraction(1, 2), 3))) == "(-inf, inf)"
+        assert str(support(normal(Fraction(1, 2), 3))) == "(-inf, inf)"
 
     def test_mixture_union(self):
         d = mixture((HALF, uniform(0, 1)), (HALF, uniform(2, 3)))
-        assert str(set_value(d)) == "[0, 1] | [2, 3]"
+        assert str(support(d)) == "[0, 1] | [2, 3]"
 
     def test_probability_one_on_support(self):
         d = mixture((HALF, uniform(0, 1)), (HALF, uniform(2, 3)))
-        assert sharp_probability(d, set_value(d)) == 1
+        assert sharp_probability(d, support(d)) == 1
 
 
 class TestEvalDensity:

@@ -442,7 +442,18 @@ class OrthoSum(Effect):
     @cached_property
     def _float_value(self):
         left, right = self.left._float_value, self.right._float_value
-        return lambda q: left(q) + right(q)
+
+        def value(q):
+            x, y = left(q), right(q)
+            # a Fraction meeting a float adds as its float, without the fallback
+            if x.__class__ is Fraction:
+                if y.__class__ is float:
+                    return x.numerator / x.denominator + y
+            elif y.__class__ is Fraction and x.__class__ is float:
+                return x + y.numerator / y.denominator
+            return x + y
+
+        return value
 
     @cached_property
     def range_bounds(self):

@@ -5,13 +5,12 @@ symbols ``-inf``/``inf`` (Python floats) mark unbounded ends, which are always
 open.  An :class:`IntervalSet` is kept in a canonical form: components sorted,
 pairwise disjoint, and non-adjacent (no two components could be merged into a
 single interval).  Two canonical sets are equal as point sets exactly when
-their component tuples compare equal, so Boolean-algebra laws can be asserted
+their cut sequences compare equal, so Boolean-algebra laws can be asserted
 with ``==``.
 
-All operations are implemented on a "cut" encoding of endpoints.  A cut is a
-pair ``(value, eps)`` with ``eps`` in {0, 1}: ``(q, 0)`` sits at the point
-``q`` and ``(q, 1)`` sits immediately above it.  An interval maps to the
-half-open cut span ``[start, end)`` where
+A cut is a pair ``(value, offset)`` with ``offset`` in {0, 1}: ``(q, 0)`` sits
+at the point ``q`` and ``(q, 1)`` sits immediately above it.  An interval maps
+to the half-open cut span ``[start, end)`` where
 
     start = (lo, 0) if lo is closed else (lo, 1)
     end   = (hi, 1) if hi is closed else (hi, 0)
@@ -19,24 +18,33 @@ half-open cut span ``[start, end)`` where
 Membership of a point ``x`` is ``start <= (x, 0) < end``.  Under this
 encoding ``(0,1)`` and ``[1,2]`` touch (and merge to ``(0,2]``) while
 ``(0,1)`` and ``(1,2)`` do not, which is exactly the adjacency rule the
-canonical form requires.  Set operations reduce to a linear sweep over merged
-cut sequences and are exact: no rounding anywhere.
+canonical form requires.
+
+A set stores nothing but its flat cut sequence: a tuple of endpoint values
+(start, end, start, end, ...) and a ``bytes`` of the matching offsets, in
+strictly increasing cut order.  A point lies in the set exactly when an odd
+number of cuts sit at or below it.  Set operations are one linear sweep over
+two merged cut sequences; their results go straight into a new set, with no
+re-validation, and :attr:`IntervalSet.components` builds ``Interval`` views
+only when asked.  Validation happens once, in the public constructors.
+
+The sweep orders cuts by float keys: ``float(value)``, or ``-inf``/``inf``
+when that overflows.  The conversion rounds correctly, so keys are weakly
+monotone in the value, and a smaller key means a smaller cut.  Only when two
+keys are equal does the sweep compare the cuts exactly.  Keys order cuts and
+never decide them, so every result is exact: no rounding anywhere.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Union
 
 from .common import NEG_INF, POS_INF, as_fraction, fraction_str, is_infinite
 
 Endpoint = Union[Fraction, float]
-
-_BOTTOM = (NEG_INF, 1)
-_TOP = (POS_INF, 0)
 
 
 @dataclass(frozen=True)
@@ -106,11 +114,6 @@ class Interval:
         return f"{lb}{fraction_str(self.lo)}, {fraction_str(self.hi)}{rb}"
 
 
-def _span_to_interval(span) -> Interval:
-    (lov, loe), (hiv, hie) = span
-    return Interval(lov, hiv, lo_closed=(loe == 0), hi_closed=(hie == 1))
-
-
 def interval(lo, hi, lo_closed: bool = False, hi_closed: bool = False) -> "IntervalSet":
     """A one-interval set; open on both ends unless stated otherwise."""
     return IntervalSet((Interval(lo, hi, lo_closed, hi_closed),))
@@ -132,20 +135,59 @@ def points(*qs) -> "IntervalSet":
     )
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(vals: tuple, offs: bytes, keys) -> "IntervalSet":
+    """Trusted constructor: ``vals``/``offs`` must already be a canonical cut
+    sequence, and ``keys`` its float keys or None."""
+    s = _new(IntervalSet)
+    _set(s, "_vals", vals)
+    _set(s, "_offs", offs)
+    _set(s, "_keys", keys)
+    _set(s, "_components", None)
+    return s
+
+
+def _key(v) -> float:
+    """Sort key of an endpoint, weakly monotone in it: ``float(v)``, or an
+    infinity where that overflows."""
+    try:
+        return float(v)
+    except OverflowError:
+        return POS_INF if v > 0 else NEG_INF
+
+
+def _keys(s: "IntervalSet") -> tuple:
+    """The float keys of a set's cuts, computed once and kept on the set."""
+    keys = s._keys
+    if keys is None:
+        keys = tuple(map(_key, s._vals))
+        _set(s, "_keys", keys)
+    return keys
+
+
+def _view(lo, hi, lo_closed: bool, hi_closed: bool) -> Interval:
+    """An ``Interval`` made without validation, from trusted endpoints."""
+    iv = _new(Interval)
+    _set(iv, "__dict__", {"lo": lo, "hi": hi, "lo_closed": lo_closed, "hi_closed": hi_closed})
+    return iv
+
+
 class IntervalSet:
-    """Canonical finite union of intervals.
+    """Canonical finite union of intervals, stored as its cut sequence.
 
     Construct through :meth:`from_intervals` (which normalizes any collection
     of intervals) or the module-level builders; the raw constructor insists
-    that the components already are canonical.
+    that the components already are canonical.  Instances are immutable.
     """
 
-    components: tuple = ()
+    __slots__ = ("_vals", "_offs", "_keys", "_components")
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components: Iterable[Interval] = ()):
+        comps = tuple(components)
+        vals, offs = [], []
         prev_end = None
         for c in comps:
             if not isinstance(c, Interval):
@@ -155,36 +197,63 @@ class IntervalSet:
                 raise ValueError(
                     "components must be sorted, disjoint, and non-adjacent"
                 )
+            vals += (start[0], end[0])
+            offs += (start[1], end[1])
             prev_end = end
+        _set(self, "_vals", tuple(vals))
+        _set(self, "_offs", bytes(offs))
+        _set(self, "_keys", None)
+        _set(self, "_components", comps)
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":
         """Normalize an arbitrary collection of intervals to canonical form."""
-        spans = sorted(iv.span() for iv in intervals)
-        merged = []
-        for s, e in spans:
-            if merged and s <= merged[-1][1]:
-                if e > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], e)
+        vals, offs = [], []
+        for start, end in sorted(iv.span() for iv in intervals):
+            if vals and start <= (vals[-1], offs[-1]):
+                if end > (vals[-1], offs[-1]):
+                    vals[-1], offs[-1] = end
             else:
-                merged.append((s, e))
-        return cls(tuple(_span_to_interval(sp) for sp in merged))
+                vals += (start[0], end[0])
+                offs += (start[1], end[1])
+        return _make(tuple(vals), bytes(offs), None)
 
-    @classmethod
-    def _from_spans(cls, spans) -> "IntervalSet":
-        return cls(tuple(_span_to_interval(sp) for sp in spans))
-
-    @cached_property
-    def _spans(self) -> tuple:
-        return tuple(c.span() for c in self.components)
-
-    @cached_property
-    def _starts(self) -> list:
-        return [s for s, _ in self._spans]
+    @property
+    def components(self) -> tuple:
+        """The components as ``Interval`` values, in increasing order."""
+        comps = self._components
+        if comps is None:
+            vals, offs = self._vals, self._offs
+            comps = tuple(
+                _view(vals[k], vals[k + 1], offs[k] == 0, offs[k + 1] == 1)
+                for k in range(0, len(vals), 2)
+            )
+            _set(self, "_components", comps)
+        return comps
 
     @property
     def is_empty(self) -> bool:
-        return not self.components
+        return not self._vals
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _make, (self._vals, self._offs, None)
+
+    def __eq__(self, other):
+        if other.__class__ is not IntervalSet:
+            return NotImplemented
+        return self._vals == other._vals and self._offs == other._offs
+
+    def __hash__(self) -> int:
+        return hash((self._vals, self._offs))
+
+    def __repr__(self) -> str:
+        return f"IntervalSet(components={self.components!r})"
 
     def __contains__(self, q) -> bool:
         return membership(q, self)
@@ -205,7 +274,7 @@ class IntervalSet:
         return complement(self)
 
     def __str__(self) -> str:
-        if not self.components:
+        if not self._vals:
             return "empty"
         return " | ".join(str(c) for c in self.components)
 
@@ -213,7 +282,8 @@ class IntervalSet:
 EMPTY = IntervalSet()
 REALS = IntervalSet((Interval(NEG_INF, POS_INF),))
 
-# Truth tables indexed by 2*in_a + in_b.
+# Truth tables indexed by 2*in_a + in_b.  Every table maps (out, out) to out,
+# which the sweep relies on.
 _TABLES = {
     "union": (False, True, True, True),
     "intersect": (False, False, False, True),
@@ -222,37 +292,46 @@ _TABLES = {
 }
 
 
-def _sweep(spans_a, spans_b, table):
-    """Linear boolean sweep over two canonical span lists."""
-    ba = [cut for span in spans_a for cut in span]
-    bb = [cut for span in spans_b for cut in span]
-    na, nb = len(ba), len(bb)
-    ia = ib = 0
-    out = []
-    state = table[0]
-    start = _BOTTOM if state else None
-    while ia < na or ib < nb:
-        if ib >= nb:
-            cut = ba[ia]
-        elif ia >= na:
-            cut = bb[ib]
+def _sweep(a: IntervalSet, b: IntervalSet, table) -> IntervalSet:
+    """Linear boolean sweep over the cut sequences of two canonical sets."""
+    va, oa, ka = a._vals, a._offs, _keys(a)
+    vb, ob, kb = b._vals, b._offs, _keys(b)
+    na, nb = len(va), len(vb)
+    vals, offs, keys = [], [], []
+    i = j = 0
+    state = False
+    while i < na and j < nb:
+        x, y = ka[i], kb[j]
+        if x == y:  # equal keys: compare the cuts exactly
+            x, y = va[i], vb[j]
+            if x == y:
+                x, y = oa[i], ob[j]
+        if x < y:
+            v, o, k = va[i], oa[i], ka[i]
+            i += 1
+        elif y < x:
+            v, o, k = vb[j], ob[j], kb[j]
+            j += 1
         else:
-            ca, cb = ba[ia], bb[ib]
-            cut = ca if ca <= cb else cb
-        while ia < na and ba[ia] == cut:
-            ia += 1
-        while ib < nb and bb[ib] == cut:
-            ib += 1
-        new = table[2 * (ia & 1) + (ib & 1)]
-        if new != state:
-            if new:
-                start = cut
-            else:
-                out.append((start, cut))
+            v, o, k = va[i], oa[i], ka[i]
+            i += 1
+            j += 1
+        new = table[2 * (i & 1) + (j & 1)]
+        if new is not state:
+            vals.append(v)
+            offs.append(o)
+            keys.append(k)
             state = new
-    if state:
-        out.append((start, _TOP))
-    return out
+    # One side is used up and outside; the other's cuts all count or none do.
+    if i < na and table[2]:
+        vals += va[i:]
+        offs += oa[i:]
+        keys += ka[i:]
+    elif j < nb and table[1]:
+        vals += vb[j:]
+        offs += ob[j:]
+        keys += kb[j:]
+    return _make(tuple(vals), bytes(offs), tuple(keys))
 
 
 def combine(op: str, a: IntervalSet, b: IntervalSet) -> IntervalSet:
@@ -261,53 +340,61 @@ def combine(op: str, a: IntervalSet, b: IntervalSet) -> IntervalSet:
         table = _TABLES[op]
     except KeyError:
         raise ValueError(f"unknown set operation {op!r}") from None
-    return IntervalSet._from_spans(_sweep(a._spans, b._spans, table))
+    return _sweep(a, b, table)
 
 
 def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return IntervalSet._from_spans(_sweep(a._spans, b._spans, _TABLES["union"]))
+    return _sweep(a, b, _TABLES["union"])
 
 
 def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return IntervalSet._from_spans(_sweep(a._spans, b._spans, _TABLES["intersect"]))
+    return _sweep(a, b, _TABLES["intersect"])
 
 
 def difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return IntervalSet._from_spans(_sweep(a._spans, b._spans, _TABLES["diff"]))
+    return _sweep(a, b, _TABLES["diff"])
 
 
 def symmetric_difference(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return IntervalSet._from_spans(_sweep(a._spans, b._spans, _TABLES["symmdiff"]))
+    return _sweep(a, b, _TABLES["symmdiff"])
 
 
 def complement(a: IntervalSet) -> IntervalSet:
-    """Complement in the real line; an exact involution on canonical forms."""
-    out = []
-    prev = _BOTTOM
-    for s, e in a._spans:
-        if prev < s:
-            out.append((prev, s))
-        prev = e
-    if prev < _TOP:
-        out.append((prev, _TOP))
-    return IntervalSet._from_spans(out)
+    """Complement in the real line; an exact involution on canonical forms.
+
+    The cut sequence stays, except that the bottom cut ``(-inf, 1)`` and the
+    top cut ``(inf, 0)`` each toggle in or out."""
+    vals, offs, keys = a._vals, a._offs, _keys(a)
+    n = len(vals)
+    lo = 1 if n and is_infinite(vals[0]) else 0
+    hi = n - 1 if n and is_infinite(vals[-1]) else n
+    head, tail = not lo, hi == n
+    return _make(
+        (NEG_INF,) * head + vals[lo:hi] + (POS_INF,) * tail,
+        b"\x01" * head + offs[lo:hi] + b"\x00" * tail,
+        (NEG_INF,) * head + keys[lo:hi] + (POS_INF,) * tail,
+    )
 
 
 def measure(a: IntervalSet):
     """Lebesgue measure: exact rational, or ``inf`` if any component is unbounded."""
+    vals = a._vals
+    if vals and (is_infinite(vals[0]) or is_infinite(vals[-1])):
+        return POS_INF
     total = Fraction(0)
-    for c in a.components:
-        if not c.is_bounded:
-            return POS_INF
-        total += c.hi - c.lo
+    for k in range(0, len(vals), 2):
+        total += vals[k + 1] - vals[k]
     return total
 
 
 def membership(q, a: IntervalSet) -> bool:
-    """Exact point membership test."""
-    cut = (as_fraction(q), 0)
-    idx = bisect_right(a._starts, cut) - 1
-    return idx >= 0 and cut < a._spans[idx][1]
+    """Exact point membership test: an odd number of cuts at or below ``(q, 0)``."""
+    q = as_fraction(q)
+    vals = a._vals
+    k = bisect_left(vals, q)
+    if k < len(vals) and a._offs[k] == 0 and vals[k] == q:
+        k += 1
+    return k % 2 == 1
 
 
 def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
@@ -318,4 +405,4 @@ def bounding_interval(a: IntervalSet):
     """(inf, sup) of a nonempty set; endpoints may be infinite."""
     if a.is_empty:
         raise ValueError("empty set has no bounding interval")
-    return a.components[0].lo, a.components[-1].hi
+    return a._vals[0], a._vals[-1]

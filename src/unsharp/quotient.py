@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .common import NEG_INF, POS_INF, as_fraction, is_infinite
+from .common import as_fraction, is_infinite
 from .errors import ZeroClassError
 from .intervals import (
     EMPTY,
-    Interval,
+    REALS,
     IntervalSet,
+    _keys,
+    _make,
     combine,
     complement,
     interval,
@@ -32,15 +34,12 @@ class QuotientClass:
     rep: IntervalSet
 
     def __post_init__(self):
-        prev_hi = None
-        for c in self.rep.components:
-            if c.lo_closed or c.hi_closed:
+        vals, offs = self.rep._vals, self.rep._offs
+        for k in range(0, len(vals), 2):
+            if offs[k : k + 2] != b"\x01\x00":
                 raise ValueError("representative components must be open")
-            if c.lo == c.hi:
-                raise ValueError("representative carries a null component")
-            if prev_hi is not None and c.lo <= prev_hi:
+            if k and vals[k] <= vals[k - 1]:
                 raise ValueError("representative gaps must have positive length")
-            prev_hi = c.hi
 
     @property
     def is_zero(self) -> bool:
@@ -59,21 +58,27 @@ class QuotientClass:
 def project(s: IntervalSet) -> QuotientClass:
     """Map a set to its class: drop null components, open endpoints, merge gaps
     of length zero.  The result differs from the input by a null set."""
-    opened = []
-    for c in s.components:
-        if c.lo == c.hi:
+    vals, keys = s._vals, _keys(s)
+    out, out_keys = [], []
+    for k in range(0, len(vals), 2):
+        lo, hi = vals[k], vals[k + 1]
+        # distinct keys mean distinct values; equal keys are checked exactly
+        if keys[k] == keys[k + 1] and lo == hi:
             continue  # singleton, null
-        if opened and c.lo <= opened[-1][1]:
+        if out and keys[k] == out_keys[-1] and lo == out[-1]:
             # closures touch (possible only at a shared endpoint)
-            opened[-1] = (opened[-1][0], c.hi)
+            out[-1], out_keys[-1] = hi, keys[k + 1]
         else:
-            opened.append((c.lo, c.hi))
-    comps = tuple(Interval(lo, hi) for lo, hi in opened)
-    return QuotientClass(IntervalSet(comps))
+            out += (lo, hi)
+            out_keys += (keys[k], keys[k + 1])
+    rep = _make(tuple(out), b"\x01\x00" * (len(out) // 2), tuple(out_keys))
+    x = object.__new__(QuotientClass)  # open-canonical by construction
+    object.__setattr__(x, "rep", rep)
+    return x
 
 
 ZERO = project(EMPTY)
-UNIT = project(IntervalSet((Interval(NEG_INF, POS_INF),)))
+UNIT = project(REALS)
 
 _OP_ALIASES = {"join": "union", "meet": "intersect", "diff": "diff", "symmdiff": "symmdiff"}
 

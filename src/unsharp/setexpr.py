@@ -78,11 +78,18 @@ class _Parser:
         node = self.atom()
         while True:
             kind, value, _ = self.peek()
-            if kind == "sym" and value in _OPS:
-                self.advance()
-                node = combine(_OPS[value], node, self.atom())
-            else:
+            if not (kind == "sym" and value in _OPS):
                 return node
+            self.advance()
+            if value != "|":
+                node = combine(_OPS[value], node, self.atom())
+                continue
+            # a run of unions is normalised once, not folded pairwise
+            run = [node, self.atom()]
+            while self.peek()[:2] == ("sym", "|"):
+                self.advance()
+                run.append(self.atom())
+            node = IntervalSet.from_intervals(c for s in run for c in s.components)
 
     def atom(self) -> IntervalSet:
         kind, value, pos = self.peek()

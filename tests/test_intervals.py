@@ -1,6 +1,8 @@
 """Exact interval-set algebra: canonical form, Boolean laws, measure."""
 
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,9 @@ from unsharp.intervals import (
     union,
 )
 
-from strategies import interval_sets
+from unsharp.quotient import project
+
+from strategies import colliding_interval_sets, interval_sets
 
 
 class TestIntervalInvariants:
@@ -162,9 +166,7 @@ def test_operations_agree_with_membership_oracle(a, b):
         assert membership(q, comp) == (not membership(q, a))
 
 
-@settings(max_examples=200)
-@given(interval_sets(), interval_sets(), interval_sets())
-def test_boolean_laws(a, b, c):
+def _assert_boolean_laws(a, b, c):
     assert union(a, b) == union(b, a)
     assert intersect(a, b) == intersect(b, a)
     assert union(union(a, b), c) == union(a, union(b, c))
@@ -176,6 +178,12 @@ def test_boolean_laws(a, b, c):
     assert union(a, intersect(a, b)) == a
     assert intersect(a, union(a, b)) == a
     assert complement(complement(a)) == a
+
+
+@settings(max_examples=200)
+@given(interval_sets(), interval_sets(), interval_sets())
+def test_boolean_laws(a, b, c):
+    _assert_boolean_laws(a, b, c)
 
 
 @settings(max_examples=200)
@@ -210,3 +218,113 @@ def test_subset_and_bounding(a, b):
                 assert lo <= c.lo
             if not isinstance(c.hi, float):
                 assert c.hi <= hi
+
+
+class TestValueSemantics:
+    def test_repr_and_str(self):
+        s = union(interval(0, 1), closed(2, 3))
+        assert repr(s) == (
+            "IntervalSet(components=("
+            "Interval(lo=Fraction(0, 1), hi=Fraction(1, 1), lo_closed=False, hi_closed=False), "
+            "Interval(lo=Fraction(2, 1), hi=Fraction(3, 1), lo_closed=True, hi_closed=True)))"
+        )
+        assert str(s) == "(0, 1) | [2, 3]"
+        assert repr(EMPTY) == "IntervalSet(components=())"
+        assert str(EMPTY) == "empty"
+        assert repr(REALS) == (
+            "IntervalSet(components=(Interval(lo=-inf, hi=inf, lo_closed=False, hi_closed=False),))"
+        )
+        assert str(complement(s)) == "(-inf, 0] | [1, 2) | (3, inf)"
+        assert str(points(2, 1)) == "{1} | {2}"
+
+    def test_immutable(self):
+        s = union(interval(0, 1), closed(2, 3))
+        for name in ("components", "_vals", "_offs", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(s, name, ())
+        with pytest.raises(FrozenInstanceError):
+            del s.components
+        assert str(s) == "(0, 1) | [2, 3]"
+
+    def test_constructor_rejects_non_intervals(self):
+        with pytest.raises(TypeError):
+            IntervalSet(((Fraction(0), Fraction(1)),))
+
+    def test_constructor_rejects_unsorted_or_overlapping(self):
+        a = Interval(Fraction(0), Fraction(2))
+        b = Interval(Fraction(1), Fraction(3))
+        with pytest.raises(ValueError):
+            IntervalSet((b, Interval(Fraction(-1), Fraction(0))))
+        with pytest.raises(ValueError):
+            IntervalSet((a, b))
+        with pytest.raises(ValueError):
+            IntervalSet((a, a))
+
+
+@settings(max_examples=200)
+@given(colliding_interval_sets(), colliding_interval_sets())
+def test_value_semantics(a, b):
+    u = union(a, b)
+    rebuilt = IntervalSet(u.components)
+    assert rebuilt == u and hash(rebuilt) == hash(u)
+    assert IntervalSet.from_intervals(u.components) == u
+    flipped = union(b, a)
+    assert flipped == u and hash(flipped) == hash(u)
+    assert (a == b) == (repr(a) == repr(b))
+    assert (a != b) == (repr(a) != repr(b))
+    for s in (a, u, complement(u)):
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+        assert union(copy, b) == union(s, b)
+
+
+def _probe_points(*sets):
+    """Every finite endpoint, the midpoint between each pair of neighbouring
+    endpoints, and one point beyond either end, in increasing order."""
+    ends = sorted(
+        {p for s in sets for c in s.components for p in (c.lo, c.hi) if not isinstance(p, float)}
+    )
+    if not ends:
+        return [Fraction(0)]
+    mids = [(p + q) / 2 for p, q in zip(ends, ends[1:])]
+    return sorted(ends + mids + [ends[0] - 1, ends[-1] + 1])
+
+
+def _contains(s, q):
+    """Membership read off the components, independent of the cut sweep."""
+    return any(c.contains(q) for c in s.components)
+
+
+_TRUTH = {
+    "union": lambda x, y: x or y,
+    "intersect": lambda x, y: x and y,
+    "diff": lambda x, y: x and not y,
+    "symmdiff": lambda x, y: x != y,
+}
+
+
+@settings(max_examples=200)
+@given(colliding_interval_sets(), colliding_interval_sets(), colliding_interval_sets())
+def test_sweeps_exact_where_floats_collide(a, b, c):
+    _assert_boolean_laws(a, b, c)
+    results = {op: combine(op, a, b) for op in _TRUTH}
+    comp = complement(a)
+    for q in _probe_points(a, b):
+        in_a, in_b = _contains(a, q), _contains(b, q)
+        for op, fn in _TRUTH.items():
+            assert _contains(results[op], q) == membership(q, results[op]) == fn(in_a, in_b)
+        assert _contains(comp, q) == membership(q, comp) == (not in_a)
+
+
+@settings(max_examples=200)
+@given(colliding_interval_sets())
+def test_project_exact_where_floats_collide(s):
+    rep = project(s).rep
+    pts = _probe_points(s)
+    ends = {p for c in s.components for p in (c.lo, c.hi)}
+    for k, q in enumerate(pts):
+        if q in ends:  # open class: in iff the set fills both sides of q
+            expected = _contains(s, pts[k - 1]) and _contains(s, pts[k + 1])
+        else:  # between endpoints the class and the set agree
+            expected = _contains(s, q)
+        assert _contains(rep, q) == membership(q, rep) == expected

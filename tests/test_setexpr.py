@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsharp.errors import SetExprError
-from unsharp.intervals import EMPTY, REALS, measure, membership
+from unsharp.intervals import EMPTY, REALS, combine, measure, membership
 from unsharp.setexpr import parse_set_expr
 
 from strategies import interval_sets
@@ -30,6 +31,11 @@ from strategies import interval_sets
         ("(0.25, 1/2)", "(1/4, 1/2)"),
         ("((0,1) | [2,3)) & (1/2, 5/2)", "(1/2, 1) | [2, 5/2)"),
         ("(0,1)|[1,2]", "(0, 2]"),
+        ("(0,1) & (2,3) | (4,5)", "(4, 5)"),
+        ("(0,1) | (2,3) ^ (0,3)", "[1, 2]"),
+        ("(0,3) \\ [1,2] | [1,2]", "(0, 3)"),
+        ("(4,5) | (0,1) | (2,3) & (1/2,5/2)", "(1/2, 1) | (2, 5/2)"),
+        ("{3} | ~(0,5) | (1,2) | (2,4)", "(-inf, 0] | (1, 2) | (2, 4) | [5, inf)"),
     ],
 )
 def test_denotations(text, expected):
@@ -74,6 +80,12 @@ class TestErrors:
             parse_set_expr("(0,1) | $")
         assert err.value.pos == 8
 
+    def test_position_reported_late_in_a_union_run(self):
+        with pytest.raises(SetExprError) as err:
+            parse_set_expr("(0,1) | (2,3) | {4} | (5,6")
+        assert err.value.pos == 26
+        assert str(err.value) == "expected ')' or ']' to close interval (at position 26)"
+
     def test_trailing_garbage(self):
         with pytest.raises(SetExprError):
             parse_set_expr("(0,1) (2,3)")
@@ -100,3 +112,22 @@ def test_round_trip(s):
 def test_round_trip_full_line_and_empty():
     assert parse_set_expr(str(REALS)) == REALS
     assert parse_set_expr(str(EMPTY)) == EMPTY
+
+
+_OP_SYMBOLS = {"union": "|", "intersect": "&", "diff": "\\", "symmdiff": "^"}
+
+
+@settings(max_examples=100)
+@given(
+    interval_sets(),
+    st.lists(st.tuples(st.sampled_from(sorted(_OP_SYMBOLS)), interval_sets()), max_size=6),
+)
+def test_chain_equals_left_fold(first, rest):
+    """Operators of equal precedence fold left, whatever runs of unions they
+    contain."""
+    text = f"({first})" if not first.is_empty else "empty"
+    expected = first
+    for op, s in rest:
+        text += f" {_OP_SYMBOLS[op]} " + (f"({s})" if not s.is_empty else "empty")
+        expected = combine(op, expected, s)
+    assert parse_set_expr(text) == expected

@@ -39,7 +39,6 @@ from .filters import (
     filter_base,
     has_fmp,
     neighborhood_base,
-    normality_witness,
 )
 from .intervals import (
     EMPTY,

@@ -28,18 +28,19 @@ from .effects import (
     triangle,
 )
 from .errors import UnsharpError
-from .filters import adjoin, disjoint_family, escaping_base, filter_base, has_fmp, neighborhood_base
+from .filters import adjoin, disjoint_family, filter_base, has_fmp, neighborhood_base
 from .intervals import intersect, interval, complement, measure, membership
 from .measurement import PrecisionScheme, run_protocol
 from .quotient import project
 from .setexpr import parse_set_expr
 from .states import (
     Mixture,
-    eval_density,
-    eval_point,
-    filter_effect_value,
+    density_state,
+    escaping_state,
     normal,
+    point_state,
     sharp_probability,
+    sharp_state,
     uniform,
 )
 from .common import UNDETERMINED
@@ -346,19 +347,16 @@ def cmd_state(args, config) -> int:
 
     kind, _, detail = state_spec.partition(":")
     if kind == "point":
-        lam = as_fraction(detail)
-        value = eval_point(lam, f)
+        state = point_state(detail)
     elif kind == "density":
-        model = parse_model_spec(detail)
-        value = eval_density(model, f, tol)
+        state = density_state(parse_model_spec(detail))
     elif kind == "sharp":
-        base, base_depth = load_base_file(detail)
-        value = filter_effect_value(base, f, depth, tol)
+        state = sharp_state(load_base_file(detail)[0])
     elif kind == "escaping":
-        base = escaping_base(2**40)
-        value = filter_effect_value(base, f, depth, tol)
+        state = escaping_state()
     else:
         raise UnsharpError(f"unknown state kind {kind!r} (want point/density/sharp/escaping)")
+    value = state.value_of(f, depth, tol)
     payload = {"state": state_spec, "effect": effect_spec, "value": _json_value(value)}
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0

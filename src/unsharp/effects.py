@@ -21,10 +21,10 @@ kinds: orthosum (built only after certifying the pointwise sum stays below
 one), rational scaling, and complement-in-one.  Every tree caches a certified
 range, a Lipschitz bound, both limits at infinity, and analytic tail bounds;
 the certification helpers (orthogonality, ordering, vanishing at infinity)
-combine those exact bounds with grid searches whose slack is controlled by
-the Lipschitz constant, so a positive answer is always sound and an
-inconclusive search raises :class:`~unsharp.errors.CannotCertify` instead of
-guessing.
+combine those exact bounds with one shared grid search, ``_certify_upper``,
+whose slack is controlled by the Lipschitz constant, so a positive answer is
+always sound and an inconclusive search raises
+:class:`~unsharp.errors.CannotCertify` instead of guessing.
 """
 
 from __future__ import annotations
@@ -676,6 +676,25 @@ def _grid_minmax(value_at, x0: float, x1: float, pts: int):
     return vmin, argmin, vmax, argmax
 
 
+def _certify_upper(h, c: float, windows, L: float, settled: bool, what: str):
+    """Certify h <= c on the windows by doubling grids, h being L-Lipschitz.
+    Returns a refuting grid argmax ``(x, h(x))``, or None once every window's
+    max plus half a step of slack is at most c and ``settled`` (the verdict
+    outside the windows) holds; raises :class:`CannotCertify` at the cap."""
+    pts = _GRID_START
+    while pts <= _GRID_CAP:
+        worst = -math.inf
+        for x0, x1 in windows:
+            _, _, vmax, argmax = _grid_minmax(h, x0, x1, pts)
+            if vmax > c + _CLAMP_SLACK:
+                return argmax, vmax
+            worst = max(worst, vmax + L * (x1 - x0) / pts / 2.0)
+        if worst <= c and settled:
+            return None
+        pts *= 2
+    raise CannotCertify(f"{what} certification exhausted its grid budget")
+
+
 def orthogonality(f: Effect, g: Effect):
     """Certify sup(f + g) <= 1.  Returns None on success; raises
     :class:`NotOrthogonal` with a witness point when refuted and
@@ -707,18 +726,9 @@ def orthogonality(f: Effect, g: Effect):
     out_hi = max(float(fo[0][1] + go[0][1]), float(fo[1][1] + go[1][1]))
 
     total = lambda x: float(f.value_at(x)) + float(g.value_at(x))
-    pts = _GRID_START
-    while pts <= _GRID_CAP:
-        vmin, _, vmax, argmax = _grid_minmax(total, -H, H, pts)
-        if vmax > 1.0 + _CLAMP_SLACK:
-            raise NotOrthogonal(
-                "sum exceeds 1", witness_point=argmax, witness_value=vmax
-            )
-        slack = L * (2.0 * H) / pts / 2.0
-        if vmax + slack <= 1.0 and out_hi <= 1.0:
-            return
-        pts *= 2
-    raise CannotCertify("orthogonality certification exhausted its grid budget")
+    refuted = _certify_upper(total, 1.0, ((-H, H),), L, out_hi <= 1.0, "orthogonality")
+    if refuted is not None:
+        raise NotOrthogonal("sum exceeds 1", witness_point=refuted[0], witness_value=refuted[1])
 
 
 def oplus(f: Effect, g: Effect) -> Effect:
@@ -781,17 +791,13 @@ def leq(f: Effect, g: Effect) -> LeqResult:
         float(go[1][0]) - float(fo[1][1]),
     )
 
-    gap = lambda x: float(g.value_at(x)) - float(f.value_at(x))
-    pts = _GRID_START
-    while pts <= _GRID_CAP:
-        vmin, argmin, _, _ = _grid_minmax(gap, -H, H, pts)
-        if vmin < -_CLAMP_SLACK:
-            return LeqResult(False, witness_point=argmin)
-        slack = L * (2.0 * H) / pts / 2.0
-        if vmin - slack >= 0.0 and out_lo >= 0.0:
-            return LeqResult(True, witness_effect=_difference_effect(g, f))
-        pts *= 2
-    raise CannotCertify("ordering certification exhausted its grid budget")
+    # the exact float negation of the gap g - f: its first grid argmax is the
+    # gap's first argmin
+    excess = lambda x: float(f.value_at(x)) - float(g.value_at(x))
+    refuted = _certify_upper(excess, 0.0, ((-H, H),), L, out_lo >= 0.0, "ordering")
+    if refuted is not None:
+        return LeqResult(False, witness_point=refuted[0])
+    return LeqResult(True, witness_effect=_difference_effect(g, f))
 
 
 def vanishes_at_infinity(f: Effect, tol, horizon) -> bool:
@@ -814,25 +820,8 @@ def vanishes_at_infinity(f: Effect, tol, horizon) -> bool:
     (llo2, lhi2), (rlo2, rhi2) = f.outside_bounds(H)
     if max(float(lhi2), float(rhi2)) > tol_f:
         return _ring_refute_or_fail(f, tol_f, horizon_f, H)
-    L = f.lipschitz
-    pts = _GRID_START
-    while pts <= _GRID_CAP:
-        worst = -math.inf
-        refuted = None
-        for x0, x1 in ((-H, -horizon_f), (horizon_f, H)):
-            if x1 <= x0:
-                continue
-            vmin, _, vmax, argmax = _grid_minmax(f.value_at, x0, x1, pts)
-            if vmax > tol_f + _CLAMP_SLACK:
-                refuted = argmax
-                break
-            worst = max(worst, vmax + L * (x1 - x0) / pts / 2.0)
-        if refuted is not None:
-            return False
-        if worst <= tol_f:
-            return True
-        pts *= 2
-    raise CannotCertify("vanishing certification exhausted its grid budget")
+    rings = tuple((x0, x1) for x0, x1 in ((-H, -horizon_f), (horizon_f, H)) if x1 > x0)
+    return _certify_upper(f.value_at, tol_f, rings, f.lipschitz, True, "vanishing") is None
 
 
 def _ring_refute_or_fail(f, tol_f, horizon_f, H):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .common import DIVERGENT, NEG_INF, POS_INF, UNDETERMINED, as_fraction, is_infinite
 from .errors import FmpViolation, ZeroClassError
-from .intervals import Interval, IntervalSet, interval, measure, points
+from .intervals import Interval, IntervalSet
 from .quotient import UNIT, QuotientClass, project, q_meet
 
 
@@ -214,18 +214,16 @@ class FmpCertificate:
         return self.ok
 
 
-_WITNESS_ENUM_CAP = 256
-
-
-def _witness_depths(k: int):
-    if k <= _WITNESS_ENUM_CAP:
-        return list(range(1, k + 1))
-    depths = list(range(1, _WITNESS_ENUM_CAP + 1))
-    j = _WITNESS_ENUM_CAP * 2
+def doubling_depths(k: int, dense: int) -> list:
+    """Truncation depths 1, 2, ..., dense, then doubling while below k, then
+    k itself: every depth up to k when k <= dense."""
+    depths = list(range(1, min(k, dense) + 1))
+    j = 2 * dense
     while j < k:
         depths.append(j)
         j *= 2
-    depths.append(k)
+    if k > dense:
+        depths.append(k)
     return depths
 
 
@@ -248,7 +246,7 @@ def has_fmp(base: FilterBase, k: int) -> FmpCertificate:
             return FmpCertificate(False, k, offender=f"meet of adjoined {{{offender}}} is zero")
     witnesses = []
     chain_k = min(k, base.family.size)
-    for depth in _witness_depths(chain_k):
+    for depth in doubling_depths(chain_k, 256):
         m = q_meet(base.family.meet_first(depth), acc)
         if m.is_zero:
             return FmpCertificate(
@@ -281,55 +279,6 @@ def adjoin(base: FilterBase, x: QuotientClass, k: int | None = None) -> FilterBa
 
 # ---------------------------------------------------------------------------
 # executable witnesses
-
-
-@dataclass(frozen=True)
-class NormalityWitness:
-    """Nested neighborhood classes of a point, each nonzero, whose countable
-    meet is the (zero) class of the singleton: finite additivity survives,
-    countable additivity cannot.  Lazy: elements are built on demand, so spot
-    checks at huge indices are cheap."""
-
-    center: Fraction
-    depth: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_fraction(self.center))
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-
-    def __len__(self) -> int:
-        return self.depth
-
-    def element(self, n: int) -> QuotientClass:
-        if not 1 <= n <= self.depth:
-            raise IndexError(f"index {n} out of range 1..{self.depth}")
-        r = Fraction(1, n)
-        return project(interval(self.center - r, self.center + r))
-
-    def __getitem__(self, i: int) -> QuotientClass:
-        return self.element(i + 1)
-
-    def __iter__(self):
-        return (self.element(n) for n in range(1, self.depth + 1))
-
-    def running_meet(self, n: int) -> QuotientClass:
-        # the chain is nested, so the n-th element is the n-fold meet
-        return self.element(n)
-
-    def running_meet_measure(self, n: int) -> Fraction:
-        return measure(self.running_meet(n).rep)
-
-    @property
-    def limit_class(self) -> QuotientClass:
-        """Class of the singleton left in the limit; zero because a point is null."""
-        return project(points(self.center))
-
-
-def normality_witness(lam, depth: int) -> NormalityWitness:
-    """Witness that no two-valued state on the quotient survives countable
-    meets: every truncated meet has measure 2/n, the limit class is zero."""
-    return NormalityWitness(as_fraction(lam), depth)
 
 
 @dataclass(frozen=True)
@@ -389,16 +338,6 @@ def disjoint_family(lam, m: int) -> DisjointFamily:
 # convergence
 
 
-def _geometric_depths(depth: int):
-    ks = []
-    k = 1
-    while k < depth:
-        ks.append(k)
-        k *= 2
-    ks.append(depth)
-    return ks
-
-
 def converges_to(base: FilterBase, depth: int, tol):
     """Locate the point a base converges to, if the truncated meets pin one.
 
@@ -412,9 +351,9 @@ def converges_to(base: FilterBase, depth: int, tol):
     tol = as_fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    depth = min(depth, base.size)
+    depth = max(min(depth, base.size), 1)  # an empty base still yields one (unit) meet
     lows, highs = [], []
-    for k in _geometric_depths(depth):
+    for k in doubling_depths(depth, 1):
         m = base.truncated_meet(k)
         if m.is_zero:
             return UNDETERMINED

@@ -36,7 +36,7 @@ from .common import (
     is_infinite,
 )
 from .effects import Effect, effect_range_on, evaluate
-from .filters import FilterBase, escaping_base
+from .filters import FilterBase, doubling_depths, escaping_base
 from .intervals import Interval, IntervalSet, REALS
 from .quadrature import adaptive_simpson_pieces, gauss_legendre
 from .quotient import QuotientClass, point_membership_state, q_leq, q_not
@@ -480,16 +480,13 @@ def filter_effect_value(base: FilterBase, f: Effect, depth: int, tol):
     lo_r, hi_r = f.range_bounds
     if hi_r - lo_r < tol:
         return (lo_r + hi_r) / 2  # global range already narrower than tol
-    depth = min(depth, base.size)
+    depth = max(min(depth, base.size), 1)  # an empty base still yields one (unit) meet
     tail_eps = tol_f / 8.0
-    k = 1
-    while True:
+    for k in doubling_depths(depth, 1):
         m = base.truncated_meet(k)
         if m.is_zero:
             return UNDETERMINED
         lo, hi = effect_range_on(f, m.rep, tail_eps=tail_eps)
         if hi - lo < tol_f:
             return 0.5 * (lo + hi)
-        if k >= depth:
-            return UNDETERMINED
-        k = min(k * 2, depth)
+    return UNDETERMINED

@@ -26,7 +26,7 @@ from .effects import (
     smear,
     triangle,
 )
-from .filters import adjoin, disjoint_family, escaping_base, has_fmp, neighborhood_base, normality_witness
+from .filters import NeighborhoodFamily, adjoin, disjoint_family, escaping_base, has_fmp, neighborhood_base
 from .intervals import (
     Interval,
     IntervalSet,
@@ -34,6 +34,7 @@ from .intervals import (
     difference,
     intersect,
     interval,
+    measure,
     membership,
     points,
     union,
@@ -194,15 +195,15 @@ def countable_meet_witness(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     def body():
         depth = 2**20
-        witness = normality_witness(0, depth)
+        family = NeighborhoodFamily(0, depth)
         spots = sorted({2**j for j in range(21)} | {3, 5, 7, 11, 997, depth - 1})
         for n in spots:
-            cls = witness.element(n)
+            cls = family.meet_first(n)
             if cls.is_zero:
                 return False, f"element {n} is zero"
-            if witness.running_meet_measure(n) != Fraction(2, n):
+            if measure(cls.rep) != Fraction(2, n):
                 return False, f"running meet measure at {n} is not 2/{n}"
-        if not witness.limit_class.is_zero:
+        if not project(points(0)).is_zero:
             return False, "limit class is not zero"
         return True, f"spot-checked {len(spots)} indices up to 2^20; limit class zero"
 

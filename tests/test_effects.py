@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unsharp import effects
 from unsharp.effects import (
     box,
     constant,
@@ -285,6 +286,38 @@ class TestVanishing:
         f = smear(parse("(0,1)"), gaussian(Fraction(1, 10)))
         with pytest.raises(CannotCertify):
             vanishes_at_infinity(f, 0, 100)
+
+
+class TestCertifierBudget:
+    """The sup equals the bound exactly, so no grid refutes and no Lipschitz
+    slack certifies: a small grid budget runs out with the caller's message."""
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(effects, "_GRID_CAP", 1 << 12)
+
+    def _message(self, call):
+        with pytest.raises(CannotCertify) as info:
+            call()
+        return str(info.value)
+
+    def test_touching_one_orthosum(self):
+        f = smear(parse("(0,2)"), box(1))
+        g = neg(smear(parse("(0,1) | (1,2)"), box(1)))
+        message = self._message(lambda: oplus(f, g))
+        assert message == "orthogonality certification exhausted its grid budget"
+
+    def test_equal_up_to_a_null_set_ordering(self):
+        f = smear(parse("(0,2)"), box(1))
+        g = smear(parse("(0,1) | (1,2)"), box(1))
+        message = self._message(lambda: leq(f, g))
+        assert message == "ordering certification exhausted its grid budget"
+
+    def test_plateau_at_tol_inside_the_rings(self):
+        # 1/2 on [2, 3], beyond the horizon 1 but not beyond the support
+        f = smear(parse("(2,3)"), box(2))
+        message = self._message(lambda: vanishes_at_infinity(f, Fraction(1, 2), 1))
+        assert message == "vanishing certification exhausted its grid budget"
 
 
 class TestLipschitzAndRange:

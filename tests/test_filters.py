@@ -9,16 +9,17 @@ from unsharp.common import DIVERGENT, UNDETERMINED
 from unsharp.errors import FmpViolation, ZeroClassError
 from unsharp.filters import (
     FiniteFamily,
+    NeighborhoodFamily,
     adjoin,
     converges_to,
     disjoint_family,
+    doubling_depths,
     escaping_base,
     filter_base,
     has_fmp,
     neighborhood_base,
-    normality_witness,
 )
-from unsharp.intervals import intersect, interval, measure
+from unsharp.intervals import intersect, interval, measure, points
 from unsharp.quotient import ZERO, project, q_meet
 from unsharp.setexpr import parse_set_expr as parse
 
@@ -100,10 +101,24 @@ class TestAdjoin:
         assert base.certified_depth == 40
 
 
+class TestDoublingDepths:
+    def test_dense_prefix_then_doubling_to_k(self):
+        assert doubling_depths(5, 1) == [1, 2, 4, 5]
+        assert doubling_depths(4, 1) == [1, 2, 4]
+        assert doubling_depths(1, 1) == [1]
+        assert doubling_depths(3, 256) == [1, 2, 3]
+        assert doubling_depths(256, 256) == list(range(1, 257))
+        assert doubling_depths(1000, 256) == list(range(1, 257)) + [512, 1000]
+        assert doubling_depths(0, 256) == []
+
+
 class TestNormalityWitness:
+    """The shrinking neighborhoods of a point: every finite meet is nonzero,
+    while the countable meet is the class of the point, which is zero."""
+
     def test_running_meet_measures(self):
-        w = normality_witness(0, 4)
-        assert [w.running_meet_measure(n) for n in (1, 2, 3, 4)] == [
+        family = NeighborhoodFamily(0, 4)
+        assert [measure(family.meet_first(n).rep) for n in (1, 2, 3, 4)] == [
             Fraction(2),
             Fraction(1),
             Fraction(2, 3),
@@ -111,17 +126,14 @@ class TestNormalityWitness:
         ]
 
     def test_every_element_nonzero_and_limit_zero(self):
-        w = normality_witness(Fraction(5, 8), 2**20)
+        lam = Fraction(5, 8)
+        family = NeighborhoodFamily(lam, 2**20)
         for n in (1, 2, 1024, 2**20):
-            assert not w.element(n).is_zero
-            assert w.running_meet_measure(n) == Fraction(2, n)
-        assert w.limit_class.is_zero
-
-    def test_sequence_protocol(self):
-        w = normality_witness(0, 5)
-        assert len(w) == 5
-        assert w[0] == w.element(1)
-        assert len(list(w)) == 5
+            meet = family.meet_first(n)
+            assert not meet.is_zero
+            assert meet == project(interval(lam - Fraction(1, n), lam + Fraction(1, n)))
+            assert measure(meet.rep) == Fraction(2, n)
+        assert project(points(lam)).is_zero
 
 
 class TestDisjointFamily:

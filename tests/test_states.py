@@ -8,7 +8,7 @@ import pytest
 
 from unsharp.common import UNDETERMINED
 from unsharp.effects import box, constant, evaluate, gaussian, leq, neg, oplus, scale, smear, triangle
-from unsharp.filters import adjoin, escaping_base, neighborhood_base, normality_witness
+from unsharp.filters import adjoin, escaping_base, neighborhood_base
 from unsharp.intervals import interval, points
 from unsharp.quotient import ZERO, project
 from unsharp.setexpr import parse_set_expr as parse
@@ -159,11 +159,11 @@ class TestNormalityFailureWitness:
         lam = Fraction(1, 3)
         depth = 64
         base = neighborhood_base(lam, depth)
-        witness = normality_witness(lam, depth)
         for n in (1, 2, 16, 64):
-            assert eval_sharp(base, witness.element(n), depth) == 1
-        assert witness.limit_class.is_zero
-        assert eval_sharp(base, witness.limit_class, depth) == 0
+            assert eval_sharp(base, base.family.meet_first(n), depth) == 1
+        limit_class = project(points(lam))
+        assert limit_class.is_zero
+        assert eval_sharp(base, limit_class, depth) == 0
 
 
 class TestFilterEffectValue:

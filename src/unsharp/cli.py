@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .common import DEFAULT_SEED, as_fraction, float_str, fraction_str
 from .effects import (
@@ -147,7 +148,10 @@ def parse_model_spec(text: str):
             weight_text, _, part_text = chunk.partition("*")
             if not part_text:
                 raise UnsharpError("mix wants mix(W*PART; W*PART; ...)")
-            parts.append((as_fraction(weight_text.strip()), parse_model_spec(part_text.strip())))
+            part = parse_model_spec(part_text.strip())
+            if isinstance(part, Mixture):
+                raise UnsharpError("mix parts must be uniform(LO, HI) or gaussian(MEAN, SIGMA)")
+            parts.append((as_fraction(weight_text.strip()), part))
         return Mixture(tuple(parts))
     raise UnsharpError(f"unknown density model {head!r}")
 
@@ -430,7 +434,10 @@ def cmd_verify(args, config) -> int:
 # argument wiring
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    was, so every run starts from the same defaults."""
     parser = argparse.ArgumentParser(
         prog="unsharp",
         description="Exact interval-set logic, filter-base states, smeared "
@@ -516,7 +523,7 @@ def run(argv) -> int:
     except UnsharpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

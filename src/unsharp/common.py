@@ -1,9 +1,12 @@
-"""Shared primitives: extended-real endpoints, rational coercion, sentinels."""
+"""Shared primitives: extended-real endpoints, rational coercion, the two
+lowerings of an evaluator, sentinels."""
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -57,13 +60,49 @@ def float_above(t) -> float:
     return math.nextafter(f, math.inf) if f < t else f
 
 
+#: How an evaluator's rational constants become operands: ``num`` for a value,
+#: ``below``/``above`` for a knot compared with ``<=``/``>=``.
+Lowering = namedtuple("Lowering", "num below above")
+
+
+def _keep(t):
+    return t
+
+
+#: Keeps every rational as it is: the closure computes in exact arithmetic,
+#: mixed with floats only where a float operand or a float query enters.
+EXACT = Lowering(_keep, _keep, _keep)
+
+#: Turns every rational into the float that Python's mixed Fraction/float
+#: arithmetic would use, and every knot into the nearest float on the side of
+#: the comparison, so that on float queries the closure gives, bit for bit and
+#: type for type, what the EXACT closure gives.
+FLOAT = Lowering(float, float_below, float_above)
+
+
 class FloatClosures:
-    """Base of immutable values that cache float closures in ``_float*``
-    attributes.  Pickled state leaves the closures out; they are built again
-    on first use."""
+    """Base of immutable values that evaluate through one closure builder,
+    ``_build(low)``.  Its EXACT closure is cached in ``_exact`` and its FLOAT
+    closure in ``_float``; where a parameter lies beyond float range the float
+    closure is the exact one.  Pickled state leaves the closures out; they are
+    built again on first use."""
+
+    @cached_property
+    def _exact(self):
+        return self._build(EXACT)
+
+    @cached_property
+    def _float(self):
+        try:
+            return self._build(FLOAT)
+        except OverflowError:  # a parameter beyond float range: keep the exact arithmetic
+            return self._exact
+
+    def _closure(self, low: Lowering):
+        return self._float if low is FLOAT else self._exact
 
     def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if not k.startswith("_float")}
+        return {k: v for k, v in vars(self).items() if not k.startswith(("_float", "_exact"))}
 
 
 def snap_to_rational(x: float, max_denominator: int = 10**12) -> Fraction:

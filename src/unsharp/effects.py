@@ -7,14 +7,16 @@ Box and triangle CDFs are piecewise polynomials with rational coefficients,
 so evaluation at a rational point is exact; the Gaussian CDF goes through
 ``math.erf`` (absolute error well below 1e-14).
 
-Rational queries stay on that exact path.  A float query, the kind every
-certification grid, squeeze and quadrature makes, goes through a float
-closure instead.  Each node and density builds it once from its children's
-closures and caches it on the instance.  The closure repeats the mixed
-Fraction/float arithmetic bit for bit: each rational operand becomes the float
-the mixed arithmetic would convert it to, each exact comparison with a
-rational knot becomes one with the nearest float on the correct side, and a
-branch that yields an int 0 or 1, or an exact Fraction, still does.
+Each node and density writes its evaluator once, as a closure builder
+``_build(low)`` that takes a lowering from :mod:`unsharp.common`.  Under
+``EXACT`` every rational constant stays as it is, so a rational query is
+answered exactly.  Under ``FLOAT`` every rational becomes the float the mixed
+Fraction/float arithmetic would convert it to, and every knot the nearest
+float on the correct side of its comparison, so a float query (the kind every
+certification grid, squeeze and quadrature makes) gets, bit for bit, what the
+EXACT closure would give it, including the int 0 or 1 or exact Fraction of a
+branch that yields one.  Each closure is built once per instance from the
+children's closures under the same lowering and cached.
 
 Effects form expression trees over smear and constant leaves with three node
 kinds: orthosum (built only after certifying the pointwise sum stays below
@@ -61,8 +63,18 @@ _CLAMP_SLACK = 1e-12
 # confidence densities
 
 
+class _Density(FloatClosures):
+    """Base of the detector densities; ``_build(low)`` makes the CDF closure."""
+
+    def upper_tail(self, t):
+        """Mass of the density above t, for t >= 0; exact for compact support."""
+        if t >= self.mass_radius:
+            return 0
+        return 1 - self._exact(t)
+
+
 @dataclass(frozen=True)
-class BoxDensity(FloatClosures):
+class BoxDensity(_Density):
     """Uniform density on (-width/2, width/2); total mass 1."""
 
     width: Fraction
@@ -80,36 +92,19 @@ class BoxDensity(FloatClosures):
     def peak(self) -> Fraction:
         return 1 / self.width
 
-    def cdf(self, x):
+    def _build(self, low):
         h = self.width / 2
-        if x <= -h:
-            return 0
-        if x >= h:
-            return 1
-        return (x + h) / self.width
-
-    @cached_property
-    def _float_cdf(self):
-        h = self.width / 2
-        try:
-            left, right, fh, fw = float_below(-h), float_above(h), float(h), float(self.width)
-        except OverflowError:  # a width beyond float range: keep the mixed arithmetic
-            return self.cdf
+        left, right = low.below(-h), low.above(h)
+        h, w = low.num(h), low.num(self.width)
 
         def cdf(x):
             if x <= left:
                 return 0
             if x >= right:
                 return 1
-            return (x + fh) / fw
+            return (x + h) / w
 
         return cdf
-
-    def upper_tail(self, t):
-        """Mass of the density above t, for t >= 0; exact."""
-        if t >= self.width / 2:
-            return 0
-        return 1 - self.cdf(t)
 
     def knots(self):
         h = self.width / 2
@@ -120,7 +115,7 @@ class BoxDensity(FloatClosures):
 
 
 @dataclass(frozen=True)
-class TriangleDensity(FloatClosures):
+class TriangleDensity(_Density):
     """Symmetric triangular density on (-half_width, half_width)."""
 
     half_width: Fraction
@@ -138,23 +133,10 @@ class TriangleDensity(FloatClosures):
     def peak(self) -> Fraction:
         return 1 / self.half_width
 
-    def cdf(self, x):
+    def _build(self, low):
         h = self.half_width
-        if x <= -h:
-            return 0
-        if x >= h:
-            return 1
-        if x <= 0:
-            return (x + h) * (x + h) / (2 * h * h)
-        return 1 - (h - x) * (h - x) / (2 * h * h)
-
-    @cached_property
-    def _float_cdf(self):
-        h = self.half_width
-        try:
-            left, right, fh, f2hh = float_below(-h), float_above(h), float(h), float(2 * h * h)
-        except OverflowError:  # a width beyond float range: keep the mixed arithmetic
-            return self.cdf
+        left, right, h2 = low.below(-h), low.above(h), low.num(2 * h * h)
+        h = low.num(h)
 
         def cdf(x):
             if x <= left:
@@ -162,15 +144,10 @@ class TriangleDensity(FloatClosures):
             if x >= right:
                 return 1
             if x <= 0:
-                return (x + fh) * (x + fh) / f2hh
-            return 1 - (fh - x) * (fh - x) / f2hh
+                return (x + h) * (x + h) / h2
+            return 1 - (h - x) * (h - x) / h2
 
         return cdf
-
-    def upper_tail(self, t):
-        if t >= self.half_width:
-            return 0
-        return 1 - self.cdf(t)
 
     def knots(self):
         h = self.half_width
@@ -181,7 +158,7 @@ class TriangleDensity(FloatClosures):
 
 
 @dataclass(frozen=True)
-class GaussianDensity(FloatClosures):
+class GaussianDensity(_Density):
     """Gaussian density with standard deviation sigma (evaluated in floats)."""
 
     sigma: Fraction
@@ -199,12 +176,8 @@ class GaussianDensity(FloatClosures):
     def peak(self) -> float:
         return _INV_SQRT_TAU / float(self.sigma) * _UP
 
-    def cdf(self, x) -> float:
-        z = float(x) / float(self.sigma)
-        return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
-    @cached_property
-    def _float_cdf(self):
+    def _build(self, low):
+        # a Fraction x divides by a float as float(x): both lowerings compute in floats
         s, erf = float(self.sigma), math.erf
         return lambda x: 0.5 * (1.0 + erf(x / s / _SQRT2))
 
@@ -245,11 +218,13 @@ def gaussian(sigma) -> GaussianDensity:
 class Effect(FloatClosures):
     """Base class; all nodes are immutable and cache their certified bounds.
 
-    ``value_at(q)`` hands a float q to ``_float_value``, the node's cached
-    float closure, and evaluates every other q exactly."""
+    Each node writes its evaluator once, as ``_build(low)``, from its
+    children's closures under the same lowering.  ``value_at(q)`` reads a
+    float q through the cached FLOAT closure and every other q through the
+    cached EXACT one."""
 
     def value_at(self, q):
-        raise NotImplementedError
+        return self._float(q) if q.__class__ is float else self._exact(q)
 
     def __call__(self, q):
         return evaluate(self, q)
@@ -280,11 +255,11 @@ class Constant(Effect):
         if not 0 <= self.value <= 1:
             raise ValueError("constant effects live in [0, 1]")
 
-    def value_at(self, q):
-        return self.value
+    # each node class keeps value_at in its own __dict__, where
+    # bench/tracing.py wraps it to count and time top-level evaluations
+    value_at = Effect.value_at
 
-    @cached_property
-    def _float_value(self):
+    def _build(self, low):
         return lambda q, value=self.value: value
 
     @cached_property
@@ -338,22 +313,14 @@ class SmearedIndicator(Effect):
                 pts.append(b)
         return tuple(pts)
 
-    def value_at(self, q):
-        if q.__class__ is float:
-            return self._float_value(q)
-        cdf = self.density.cdf
-        total = 0
-        for a, b in self._pairs:
-            upper = 1 if is_infinite(a) else cdf(q - a)
-            lower = 0 if is_infinite(b) else cdf(q - b)
-            total = total + (upper - lower)
-        return total
+    value_at = Effect.value_at
 
-    @cached_property
-    def _float_value(self):
-        cdf = self.density._float_cdf
+    def _build(self, low):
+        # a region with no finite endpoint never reads the density, so its CDF,
+        # which a parameter beyond float range makes fail, is not built
+        cdf = self.density._closure(low) if self._finite_endpoints else None
         pairs = tuple(
-            (None if is_infinite(a) else float(a), None if is_infinite(b) else float(b))
+            (None if is_infinite(a) else low.num(a), None if is_infinite(b) else low.num(b))
             for a, b in self._pairs
         )
 
@@ -434,14 +401,10 @@ class OrthoSum(Effect):
     left: Effect
     right: Effect
 
-    def value_at(self, q):
-        if q.__class__ is float:
-            return self._float_value(q)
-        return self.left.value_at(q) + self.right.value_at(q)
+    value_at = Effect.value_at
 
-    @cached_property
-    def _float_value(self):
-        left, right = self.left._float_value, self.right._float_value
+    def _build(self, low):
+        left, right = self.left._closure(low), self.right._closure(low)
 
         def value(q):
             x, y = left(q), right(q)
@@ -503,14 +466,10 @@ class Scaled(Effect):
         if not 0 < self.factor <= 1:
             raise ValueError("scale factor must lie in (0, 1]")
 
-    def value_at(self, q):
-        if q.__class__ is float:
-            return self._float_value(q)
-        return self.factor * self.inner.value_at(q)
+    value_at = Effect.value_at
 
-    @cached_property
-    def _float_value(self):
-        inner, a, fa = self.inner._float_value, self.factor, float(self.factor)
+    def _build(self, low):
+        inner, a, fa = self.inner._closure(low), self.factor, low.num(self.factor)
         # a far-away smear yields an int 0 or 1, and a times it stays exact
         exact = {0: a * 0, 1: a * 1}
 
@@ -558,14 +517,10 @@ class Complemented(Effect):
 
     inner: Effect
 
-    def value_at(self, q):
-        if q.__class__ is float:
-            return self._float_value(q)
-        return 1 - self.inner.value_at(q)
+    value_at = Effect.value_at
 
-    @cached_property
-    def _float_value(self):
-        inner = self.inner._float_value
+    def _build(self, low):
+        inner = self.inner._closure(low)
         return lambda q: 1 - inner(q)
 
     @cached_property

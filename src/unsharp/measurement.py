@@ -43,10 +43,6 @@ class PrecisionScheme:
         d = self.diameter
         return (i * d, (i + 1) * d)
 
-    def cell_set(self, i: int) -> IntervalSet:
-        lo, hi = self.cell_bounds(i)
-        return interval(lo, hi, lo_closed=True, hi_closed=False)
-
     def parent_cell(self, i: int) -> int:
         """Index at level-1 of the cell containing this one."""
         return i >> 1

@@ -11,10 +11,12 @@ can check the other without sharing failure modes.
 Sharp states induced by filter bases are partial: :func:`eval_sharp` answers
 1, 0, or :data:`~unsharp.common.UNDETERMINED` and is never totalized.
 
-:func:`cdf` is exact at rational points.  At a finite float point it calls a
-closure cached on the model, which repeats the mixed Fraction/float arithmetic
-bit for bit, so bisection in :func:`ppf` draws exactly what it drew before.
-The closed-form :func:`ppf` branches cache their float parameters the same way.
+Each model writes its CDF once, as a closure builder ``_build(low)`` over the
+lowerings of :mod:`unsharp.common`.  :func:`cdf` reads a rational point
+through the ``EXACT`` closure, so it is exact for uniform-only models, and a
+finite float point through the ``FLOAT`` closure, which gives bit for bit what
+the ``EXACT`` closure would give it.  The closed-form :func:`ppf` branches
+cache their float parameters in the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from statistics import NormalDist
 
 from .common import (
@@ -31,8 +33,6 @@ from .common import (
     UNDETERMINED,
     FloatClosures,
     as_fraction,
-    float_above,
-    float_below,
     is_infinite,
 )
 from .effects import Effect, effect_range_on, evaluate
@@ -51,21 +51,16 @@ _ZERO = Fraction(0)
 
 
 class _Model(FloatClosures):
-    @cached_property
-    def _float_cdf(self):
-        """``cdf(self, x)`` for finite float x, built once.  Each rational
-        becomes the float the mixed arithmetic converts it to, and each exact
-        comparison with a uniform end becomes one with the nearest float on
-        the correct side, so every result keeps its bits and its type."""
-        try:
-            terms = [
-                (w, float(w), float_below(c.lo), float_above(c.hi), float(c.lo), float(c.hi - c.lo))
-                if isinstance(c, Uniform)
-                else (w, float(w), None, None, float(c.mean), float(c.sigma))
-                for w, c in _as_parts(self)
-            ]
-        except OverflowError:  # a parameter beyond float range: keep the mixed arithmetic
-            return partial(_mixed_cdf, self)
+    def _build(self, low):
+        """The CDF at finite x.  Normal parts compute in floats under both
+        lowerings; uniform parts compare x with their ends through the
+        lowering's knots."""
+        terms = [
+            (w, low.num(w), low.below(c.lo), low.above(c.hi), low.num(c.lo), low.num(c.hi - c.lo))
+            if isinstance(c, Uniform)
+            else (w, low.num(w), None, None, float(c.mean), float(c.sigma))
+            for w, c in _as_parts(self)
+        ]
         erf = math.erf
 
         def cdf(x):
@@ -182,33 +177,14 @@ def pdf(d, x) -> float:
 
 def cdf(d, x):
     """Distribution function; exact rational when every part is uniform and
-    x is exact, float otherwise.  A finite float x goes through the model's
-    cached closure, which repeats the mixed arithmetic bit for bit."""
-    if x.__class__ is float and -math.inf < x < math.inf:
-        return d._float_cdf(x)
-    return _mixed_cdf(d, x)
-
-
-def _mixed_cdf(d, x):
-    total = 0
-    for w, comp in _as_parts(d):
-        if isinstance(comp, Uniform):
-            if is_infinite(x):
-                part = 0 if x < 0 else 1
-            elif x <= comp.lo:
-                part = 0
-            elif x >= comp.hi:
-                part = 1
-            else:
-                part = (x - comp.lo) / (comp.hi - comp.lo)
-        else:
-            if is_infinite(x):
-                part = 0 if x < 0 else 1
-            else:
-                z = (float(x) - float(comp.mean)) / float(comp.sigma)
-                part = 0.5 * (1.0 + math.erf(z / _SQRT2))
-        total = total + w * part
-    return total
+    x is exact, float otherwise, and exactly 0 or 1 at -inf or inf.  A float x
+    is read through the model's FLOAT closure, any other x through its EXACT
+    one."""
+    if x.__class__ is float:
+        if math.isinf(x):
+            return Fraction(1 if x > 0 else 0)
+        return d._float(x)
+    return d._exact(x)
 
 
 def ppf(d, u: float) -> float:

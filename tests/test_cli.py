@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from unsharp.cli import parse_effect_spec, parse_model_spec, run
+from unsharp.cli import build_parser, parse_effect_spec, parse_model_spec, run
 from unsharp.common import DEFAULT_SEED
 from unsharp.effects import constant, gaussian, smear
 from unsharp.setexpr import parse_set_expr
@@ -69,6 +69,13 @@ class TestSetsCommand:
         assert run([]) == 2
         assert run(["frobnicate"]) == 2
 
+    def test_runs_share_no_parsed_state(self, capsys):
+        assert build_parser() is build_parser()
+        code, out, _ = run_capture(["sets", "--expr", "(0,1)|[2,3)", "--measure"], capsys)
+        assert code == 0 and out == "2\n"
+        code, out, _ = run_capture(["sets", "--expr", "(0,1)|[2,3)"], capsys)
+        assert code == 0 and out == "(0, 1) | [2, 3)\n"
+
 
 class TestStateCommand:
     def test_point_state_json(self, capsys):
@@ -110,6 +117,19 @@ class TestStateCommand:
         assert code == 0
         value = json.loads(out)["value"]
         assert value == pytest.approx(1.0, abs=1e-6)
+
+
+    @pytest.mark.parametrize(
+        "state, effect",
+        [
+            ("density:mix(1*mix(1*uniform(0,1)))", "const(1)"),
+            ("density:gaussian(0,1e400)", "smear((0,1);box(1))"),
+            ("point:1e400", "smear((0,1);gaussian(1))"),
+        ],
+    )
+    def test_bad_spec_values_are_errors(self, capsys, state, effect):
+        code, _, err = run_capture(["state", "--state", state, "--effect", effect], capsys)
+        assert code == 1 and err.startswith("error: ")
 
 
 class TestSmearCommand:

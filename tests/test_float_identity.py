@@ -1,18 +1,22 @@
-"""Float reads of effect trees and density models, pinned by repr and type.
+"""Float and exact reads of effect trees and density models, pinned by repr
+and type.
 
-A float query goes through a cached closure that must repeat the mixed
-Fraction/float arithmetic of the exact code bit for bit, down to the int 0 or
-1 and the exact Fraction some branches return.  ``float_identity.json`` holds
-the results of that mixed arithmetic at float points on every knot, at the
-knots' float neighbours, between the knots and far outside.  Record it again
-with ``PYTHONPATH=src python tests/test_float_identity.py`` only when a change
-is meant to move a float result.
+A float query must give, bit for bit, what the mixed Fraction/float
+arithmetic gives, down to the int 0 or 1 and the exact Fraction some branches
+return; a rational query must give the exact value.  ``float_identity.json``
+holds the float results at points on every knot, at the knots' float
+neighbours, between the knots and far outside, and the exact results (the
+``*_exact`` sections) at every knot, between the knots and far outside.
+Record it again with ``PYTHONPATH=src python tests/test_float_identity.py``
+only when a change is meant to move a result.
 """
 
 import json
 import math
 import pickle
 from pathlib import Path
+
+from fractions import Fraction
 
 import pytest
 
@@ -66,22 +70,36 @@ def _points(knots):
     return [unique[r] for r in sorted(unique, key=lambda r: (float(r), r))]
 
 
+def _exact_points(knots):
+    """Each knot as a Fraction, the midpoints between knots, and the ints
+    -10**6 and 10**6."""
+    ks = sorted({Fraction(k) for k in knots})
+    mids = [(a + b) / 2 for a, b in zip(ks, ks[1:])]
+    return [-(10**6)] + sorted(ks + mids) + [10**6]
+
+
 def _pin(x, v):
     return [repr(x), repr(v), type(v).__name__]
 
 
 def _record():
     table = {"value_at": {}, "evaluate": {}, "cdf": {}, "pdf": {}}
+    table.update(value_at_exact={}, evaluate_exact={}, cdf_exact={})
     for spec in EFFECTS:
         f = parse_effect_spec(spec)
         pts = _points(f.knots())
         table["value_at"][spec] = [_pin(x, f.value_at(x)) for x in pts]
         table["evaluate"][spec] = [_pin(x, evaluate(f, x)) for x in pts]
+        pts = _exact_points(f.knots())
+        table["value_at_exact"][spec] = [_pin(x, f.value_at(x)) for x in pts]
+        table["evaluate_exact"][spec] = [_pin(x, evaluate(f, x)) for x in pts]
     for spec in MODELS:
         d = parse_model_spec(spec)
         pts = _points(model_knots(d))
         table["cdf"][spec] = [_pin(x, cdf(d, x)) for x in pts]
         table["pdf"][spec] = [_pin(x, pdf(d, x)) for x in pts]
+        pts = [-math.inf] + _exact_points(model_knots(d)) + [math.inf]
+        table["cdf_exact"][spec] = [_pin(x, cdf(d, x)) for x in pts]
     return table
 
 
@@ -106,6 +124,8 @@ def table():
 def test_table_covers_every_case(table):
     assert list(table["value_at"]) == EFFECTS and list(table["evaluate"]) == EFFECTS
     assert list(table["cdf"]) == MODELS and list(table["pdf"]) == MODELS
+    assert list(table["value_at_exact"]) == EFFECTS and list(table["evaluate_exact"]) == EFFECTS
+    assert list(table["cdf_exact"]) == MODELS
 
 
 @pytest.mark.parametrize("spec", EFFECTS)
@@ -122,6 +142,21 @@ def test_cdf_and_pdf(table, spec):
     for name, fn in (("cdf", cdf), ("pdf", pdf)):
         rows = table[name][spec]
         assert [_pin(float(x), fn(d, float(x))) for x, _, _ in rows] == rows
+
+
+@pytest.mark.parametrize("spec", EFFECTS)
+def test_exact_value_at_and_evaluate(table, spec):
+    f = parse_effect_spec(spec)
+    pts = _exact_points(f.knots())
+    assert [_pin(x, f.value_at(x)) for x in pts] == table["value_at_exact"][spec]
+    assert [_pin(x, evaluate(f, x)) for x in pts] == table["evaluate_exact"][spec]
+
+
+@pytest.mark.parametrize("spec", MODELS)
+def test_exact_cdf(table, spec):
+    d = parse_model_spec(spec)
+    pts = [-math.inf] + _exact_points(model_knots(d)) + [math.inf]
+    assert [_pin(x, cdf(d, x)) for x in pts] == table["cdf_exact"][spec]
 
 
 def test_parameters_beyond_float_range():
@@ -146,10 +181,12 @@ def test_parameters_beyond_float_range():
 def test_pickles_after_float_queries():
     f = parse_effect_spec(EFFECTS[-1])
     d = parse_model_spec(MODELS[3])
-    before = [f.value_at(0.5), evaluate(f, 0.5), cdf(d, 0.5)]
+    half = Fraction(1, 2)
+    before = [f.value_at(0.5), evaluate(f, 0.5), cdf(d, 0.5), f.value_at(half), cdf(d, half)]
     f2, d2 = pickle.loads(pickle.dumps((f, d)))
     assert (f2, d2) == (f, d)
-    assert [f2.value_at(0.5), evaluate(f2, 0.5), cdf(d2, 0.5)] == before
+    after = [f2.value_at(0.5), evaluate(f2, 0.5), cdf(d2, 0.5), f2.value_at(half), cdf(d2, half)]
+    assert after == before
 
 
 if __name__ == "__main__":

@@ -16,34 +16,14 @@ from fractions import Fraction
 from functools import cache
 
 from .common import DEFAULT_SEED, as_fraction, float_str, fraction_str
-from .effects import (
-    Effect,
-    box,
-    constant,
-    evaluate,
-    gaussian,
-    neg,
-    oplus,
-    scale,
-    smear,
-    triangle,
-)
+from .effects import evaluate, smear
 from .errors import UnsharpError
 from .filters import adjoin, disjoint_family, filter_base, has_fmp, neighborhood_base
 from .intervals import intersect, interval, complement, measure, membership
 from .measurement import PrecisionScheme, run_protocol
 from .quotient import project
-from .setexpr import parse_set_expr
-from .states import (
-    Mixture,
-    density_state,
-    escaping_state,
-    normal,
-    point_state,
-    sharp_probability,
-    sharp_state,
-    uniform,
-)
+from .setexpr import parse_density_spec, parse_effect_spec, parse_model_spec, parse_set_expr
+from .states import density_state, escaping_state, point_state, sharp_probability, sharp_state
 from .common import UNDETERMINED
 from .verify import CRITERIA, run_suite
 
@@ -51,109 +31,7 @@ SEED_ENV_VAR = "UNSHARP_SEED"
 
 
 # ---------------------------------------------------------------------------
-# spec mini-grammars
-
-
-def _split_args(text: str, sep: str):
-    """Split at top level only; brackets of any kind protect separators."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current).strip())
-    return parts
-
-
-def _call_shape(text: str):
-    text = text.strip()
-    if not text.endswith(")"):
-        return None
-    head, _, rest = text.partition("(")
-    if not rest:
-        return None
-    return head.strip(), rest[:-1]
-
-
-def parse_density_spec(text: str):
-    """box(W) | triangle(H) | gaussian(S) for confidence densities."""
-    shape = _call_shape(text)
-    if shape is None:
-        raise UnsharpError(f"bad density spec: {text!r}")
-    head, body = shape
-    if head == "box":
-        return box(as_fraction(body))
-    if head == "triangle":
-        return triangle(as_fraction(body))
-    if head == "gaussian":
-        return gaussian(as_fraction(body))
-    raise UnsharpError(f"unknown density {head!r} (want box/triangle/gaussian)")
-
-
-def parse_effect_spec(text: str) -> Effect:
-    """const(C) | smear(SET; DENSITY) | neg(E) | scale(A; E) | oplus(E; E)."""
-    shape = _call_shape(text)
-    if shape is None:
-        raise UnsharpError(f"bad effect spec: {text!r}")
-    head, body = shape
-    if head == "const":
-        return constant(as_fraction(body))
-    if head == "smear":
-        args = _split_args(body, ";")
-        if len(args) != 2:
-            raise UnsharpError("smear wants smear(SET; DENSITY)")
-        return smear(parse_set_expr(args[0]), parse_density_spec(args[1]))
-    if head == "neg":
-        return neg(parse_effect_spec(body))
-    if head == "scale":
-        args = _split_args(body, ";")
-        if len(args) != 2:
-            raise UnsharpError("scale wants scale(FACTOR; EFFECT)")
-        return scale(as_fraction(args[0]), parse_effect_spec(args[1]))
-    if head == "oplus":
-        args = _split_args(body, ";")
-        if len(args) != 2:
-            raise UnsharpError("oplus wants oplus(EFFECT; EFFECT)")
-        return oplus(parse_effect_spec(args[0]), parse_effect_spec(args[1]))
-    raise UnsharpError(f"unknown effect {head!r}")
-
-
-def parse_model_spec(text: str):
-    """uniform(A,B) | gaussian(MU,SIGMA) | mix(W*PART; ...) for densities."""
-    shape = _call_shape(text)
-    if shape is None:
-        raise UnsharpError(f"bad density model spec: {text!r}")
-    head, body = shape
-    if head == "uniform":
-        args = _split_args(body, ",")
-        if len(args) != 2:
-            raise UnsharpError("uniform wants uniform(LO, HI)")
-        return uniform(as_fraction(args[0]), as_fraction(args[1]))
-    if head == "gaussian":
-        args = _split_args(body, ",")
-        if len(args) != 2:
-            raise UnsharpError("gaussian wants gaussian(MEAN, SIGMA)")
-        return normal(as_fraction(args[0]), as_fraction(args[1]))
-    if head == "mix":
-        parts = []
-        for chunk in _split_args(body, ";"):
-            weight_text, _, part_text = chunk.partition("*")
-            if not part_text:
-                raise UnsharpError("mix wants mix(W*PART; W*PART; ...)")
-            part = parse_model_spec(part_text.strip())
-            if isinstance(part, Mixture):
-                raise UnsharpError("mix parts must be uniform(LO, HI) or gaussian(MEAN, SIGMA)")
-            parts.append((as_fraction(weight_text.strip()), part))
-        return Mixture(tuple(parts))
-    raise UnsharpError(f"unknown density model {head!r}")
+# base files
 
 
 def load_base_file(path: str):

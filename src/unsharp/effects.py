@@ -165,8 +165,9 @@ class GaussianDensity(_Density):
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", as_fraction(self.sigma))
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # the CDF is computed in floats, where sigma must not round to 0.0
+        if self.sigma <= 0 or self.sigma < 1 and not float(self.sigma):
+            raise ValueError("sigma must be positive as a float")
 
     @property
     def mass_radius(self) -> None:

@@ -8,11 +8,15 @@ class UnsharpError(Exception):
 
 
 class SetExprError(UnsharpError, ValueError):
-    """Syntax or semantic error in a set expression; carries the position."""
+    """Syntax or semantic error in a set expression or spec; carries the
+    position in the text."""
 
     def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
+        super().__init__(message)
         self.pos = pos
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at position {self.pos})"
 
 
 class ZeroClassError(UnsharpError, ValueError):

@@ -109,8 +109,9 @@ class Normal(_Model):
     def __post_init__(self):
         object.__setattr__(self, "mean", as_fraction(self.mean))
         object.__setattr__(self, "sigma", as_fraction(self.sigma))
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # the CDF is computed in floats, where sigma must not round to 0.0
+        if self.sigma <= 0 or self.sigma < 1 and not float(self.sigma):
+            raise ValueError("sigma must be positive as a float")
 
     @cached_property
     def _float_ppf(self):

@@ -39,7 +39,7 @@ from .intervals import (
     points,
     union,
 )
-from .measurement import PrecisionScheme, run_protocol, scorekeeper
+from .measurement import PrecisionScheme, indistinguishability_experiment, run_protocol, scorekeeper
 from .quotient import project
 from .rng import stream_word, substream_seed
 from .states import (
@@ -354,26 +354,14 @@ def point_agreement(seed: int = DEFAULT_SEED) -> CriterionResult:
     def body():
         draw = Draw(substream_seed(seed, 7))
         effect_pool = [_random_effect(draw) for _ in range(20)]
-        lams = [Fraction(0), Fraction(1, 3), Fraction("1.41421356")]
-        for lam in lams:
-            base = neighborhood_base(lam, 2**40)
-            right = project(interval(lam, POS_INF))
-            left = project(interval(NEG_INF, lam))
-            s1 = adjoin(base, right, 64)
-            s2 = adjoin(base, left, 64)
-            from .states import eval_sharp
-
-            if eval_sharp(s1, right, 64) != 1 or eval_sharp(s2, right, 64) != 0:
+        for lam in (Fraction(0), Fraction(1, 3), Fraction("1.41421356")):
+            report = indistinguishability_experiment(lam, effect_pool, 2**40, 1e-9)
+            if not report.sharp_split:
                 return False, f"sharp half-line question not split at {lam}"
-            for idx, f in enumerate(effect_pool):
-                target = float(eval_point(lam, f))
-                v1 = filter_effect_value(s1, f, 2**40, 1e-9)
-                v2 = filter_effect_value(s2, f, 2**40, 1e-9)
-                if v1 is UNDETERMINED or v2 is UNDETERMINED:
-                    return False, f"squeeze failed for effect {idx} at {lam}"
-                dev = max(abs(float(v1) - target), abs(float(v2) - target))
-                if dev > 1e-9:
-                    return False, f"effect {idx} at {lam}: deviation {dev:.3e}"
+            if report.undetermined_count:
+                return False, f"{report.undetermined_count} squeezes failed at {lam}"
+            if not report.unsharp_agreement:
+                return False, f"effects deviate from the point state by more than 1e-9 at {lam}"
         return True, "3 anchors x 20 effects agree to 1e-9; sharp question splits 1 vs 0"
 
     return _timed("point-agreement", "Unsharp indistinguishability of convergent bases", body)

@@ -65,6 +65,11 @@ class TestSetsCommand:
         code, _, err = run_capture(["sets", "--expr", "(5,3)"], capsys)
         assert code == 1 and "error" in err
 
+    def test_bad_number_is_an_error_not_a_crash(self, capsys):
+        code, _, err = run_capture(["sets", "--expr", "(1/0, 2)"], capsys)
+        assert code == 1 and err.startswith("error: ")
+        assert "at position 1" in err
+
     def test_usage_error_exit_code(self, capsys):
         assert run([]) == 2
         assert run(["frobnicate"]) == 2
@@ -125,6 +130,11 @@ class TestStateCommand:
             ("density:mix(1*mix(1*uniform(0,1)))", "const(1)"),
             ("density:gaussian(0,1e400)", "smear((0,1);box(1))"),
             ("point:1e400", "smear((0,1);gaussian(1))"),
+            ("density:gaussian(0,1e-400)", "smear((0,1);box(1))"),
+            ("point:0", "smear((0,1);gaussian(1e-400))"),
+            ("density:uniform(0,1)", "smear((0,1);gaussian(1e-400))"),
+            ("density:uniform(0,1e400)", "smear((0,1);box(1))"),
+            ("point:0", "smear({1/0}; box(1))"),
         ],
     )
     def test_bad_spec_values_are_errors(self, capsys, state, effect):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from unsharp.errors import SetExprError
 from unsharp.intervals import EMPTY, REALS, combine, measure, membership
-from unsharp.setexpr import parse_set_expr
+from unsharp.setexpr import parse_effect_spec, parse_model_spec, parse_set_expr
 
 from strategies import interval_sets
 
@@ -101,6 +101,62 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(SetExprError):
             parse_set_expr("")
+
+    @pytest.mark.parametrize(
+        "text,pos",
+        [("(1/0, 2)", 1), ("{1/0}", 1), ("{1, 2/0}", 4), ("(1.5/2, 3)", 1), ("(0, 1/0]", 4)],
+    )
+    def test_bad_number_reported_at_its_position(self, text, pos):
+        with pytest.raises(SetExprError) as err:
+            parse_set_expr(text)
+        assert err.value.pos == pos
+
+    @pytest.mark.parametrize("text", ["(-inf,-inf)", "(inf,inf)", "(inf,0)", "(0,-inf)", "[inf,inf]"])
+    def test_interval_the_constructor_refuses(self, text):
+        with pytest.raises(SetExprError) as err:
+            parse_set_expr("{2} | " + text)
+        assert err.value.pos == 6
+
+    def test_unknown_character_outranks_an_earlier_error(self):
+        for text in ("(5,3) | $", "(5,3) | *", "(5,3);"):
+            with pytest.raises(SetExprError) as err:
+                parse_set_expr(text)
+            assert err.value.pos == len(text) - 1
+            assert str(err.value).startswith("unexpected character")
+
+
+class TestSpecs:
+    """Specs share the set grammar's tokenizer and its positioned errors."""
+
+    @pytest.mark.parametrize(
+        "text,pos",
+        [
+            ("const(1/0)", 6),
+            ("scale(1/2, const(1))", 9),
+            ("neg(const(1)", 12),
+            ("wat(1)", 0),
+            ("smear((0,1); box(1)) x", 21),
+            ("const(2)", 0),
+            ("smear((0,1) | $; box(1))", 14),
+        ],
+    )
+    def test_effect_errors_carry_positions(self, text, pos):
+        with pytest.raises(SetExprError) as err:
+            parse_effect_spec(text)
+        assert err.value.pos == pos
+
+    @pytest.mark.parametrize(
+        "text,pos",
+        [
+            ("mix(1/2*uniform(0,1); 1/2*gaussian(0, 1e400))", 38),
+            ("mix(1*mix(1*uniform(0,1)))", 6),
+            ("mix(1/2*uniform(0,1) 1/2*uniform(1,2))", 21),
+        ],
+    )
+    def test_model_errors_carry_positions(self, text, pos):
+        with pytest.raises(SetExprError) as err:
+            parse_model_spec(text)
+        assert err.value.pos == pos
 
 
 @settings(max_examples=200)

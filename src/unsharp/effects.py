@@ -81,8 +81,9 @@ class BoxDensity(_Density):
 
     def __post_init__(self):
         object.__setattr__(self, "width", as_fraction(self.width))
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        # the float CDF divides by the width, which must not round to 0.0
+        if self.width <= 0 or self.width < 1 and not float(self.width):
+            raise ValueError("width must be positive as a float")
 
     @property
     def mass_radius(self) -> Fraction:
@@ -122,8 +123,10 @@ class TriangleDensity(_Density):
 
     def __post_init__(self):
         object.__setattr__(self, "half_width", as_fraction(self.half_width))
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        # the float CDF divides by 2 * half_width**2, which must not round to 0.0
+        h2 = 2 * self.half_width * self.half_width
+        if self.half_width <= 0 or h2 < 1 and not float(h2):
+            raise ValueError("half_width must be positive, with 2*half_width**2 positive as a float")
 
     @property
     def mass_radius(self) -> Fraction:

@@ -15,13 +15,20 @@ Each model writes its CDF once, as a closure builder ``_build(low)`` over the
 lowerings of :mod:`unsharp.common`.  :func:`cdf` reads a rational point
 through the ``EXACT`` closure, so it is exact for uniform-only models, and a
 finite float point through the ``FLOAT`` closure, which gives bit for bit what
-the ``EXACT`` closure would give it.  The closed-form :func:`ppf` branches
-cache their float parameters in the same way.
+the ``EXACT`` closure would give it.
+
+Every model caches its inverse CDF for :func:`ppf` as ``_float_ppf``: a closed
+form for ``Uniform`` and ``Normal``.  A ``Mixture`` caches a table of CDF values
+at 64 equal cells over its ``_bracket`` and at its uniform knots, built on the
+first draw; each draw finds its cell by ``bisect`` and narrows it by
+Chandrupatla's method.  Every CDF value, table entries included, comes from
+:func:`cdf`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -91,6 +98,9 @@ class Uniform(_Model):
         object.__setattr__(self, "hi", as_fraction(self.hi))
         if not self.lo < self.hi:
             raise ValueError("uniform model needs lo < hi")
+        # the CDF divides by hi - lo in floats, where it must not round to 0.0
+        if self.hi - self.lo < 1 and not float(self.hi - self.lo):
+            raise ValueError("uniform model needs hi - lo positive as a float")
 
     @cached_property
     def _float_ppf(self):
@@ -139,6 +149,22 @@ class Mixture(_Model):
                 raise TypeError("mixture parts must be Uniform or Normal models")
         if sum(w for w, _ in parts) != 1:
             raise ValueError("mixture weights must sum to exactly 1")
+
+    @cached_property
+    def _float_ppf(self):
+        lo, cdf_lo, hi, cdf_hi = _bracket(self, 0.5)
+        inner = {lo + (hi - lo) * k / _CELLS for k in range(1, _CELLS)}
+        inner.update(float(p) for p in model_knots(self))
+        xs = [lo] + sorted(x for x in inner if lo < x < hi) + [hi]
+        cs = [cdf_lo] + [float(cdf(self, x)) for x in xs[1:-1]] + [cdf_hi]
+
+        def draw(u):
+            k = bisect_left(cs, u)  # cs[k - 1] < u <= cs[k]
+            if 0 < k < len(cs):
+                return _narrow(self, u, xs[k - 1], cs[k - 1], xs[k], cs[k])
+            return _narrow(self, u, *_bracket(self, u))
+
+        return draw
 
     def describe(self) -> str:
         inner = "; ".join(f"{w}*{comp.describe()}" for w, comp in self.parts)
@@ -189,25 +215,60 @@ def cdf(d, x):
 
 
 def ppf(d, u: float) -> float:
-    """Inverse distribution function; closed form where available, monotone
-    bisection to 1e-12 for mixtures."""
+    """Inverse distribution function: closed form for uniform and normal
+    models; for a mixture, the midpoint of a bracket [a, b] with
+    ``cdf(a) < u <= cdf(b)`` narrowed to width 1e-12, or to adjacent floats
+    where one ulp exceeds 1e-12."""
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie strictly between 0 and 1")
-    if isinstance(d, (Uniform, Normal)):
-        return d._float_ppf(u)
-    lo, hi = _bracket(d, u)
+    return d._float_ppf(u)
+
+
+#: Equal cells of a mixture's ppf table over ``_bracket(d, 1/2)``.
+_CELLS = 64
+
+
+def _narrow(d, u, a, fa, b, fb):
+    """Chandrupatla's method (Adv. Eng. Softw. 28, 1997) on cdf(x) - u over
+    [a, b], where cdf(a) < u <= cdf(b); fa and fb are those CDF values.
+
+    The first step is a secant step.  Then ``a`` is the newest point, ``b``
+    the opposite end of the bracket and ``c`` the end last dropped; the xi/phi
+    test takes an inverse quadratic step where the three points' interpolant
+    is monotone, and bisects otherwise.  Each step lands at least ``tol``
+    inside the bracket.  Stops at width 1e-12, or once the midpoint is an end
+    (adjacent floats), and returns the midpoint."""
+    fa -= u
+    fb -= u
+    tol = max(0.5e-12, 2.0 * math.ulp(max(abs(a), abs(b))))
+    t = fa / (fa - fb)
     for _ in range(200):
+        lo, hi = (a, b) if a < b else (b, a)
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12:
+        if hi - lo <= 1e-12 or mid == lo or mid == hi:
             return mid
-        if float(cdf(d, mid)) < u:
-            lo = mid
+        tl = min(tol / (hi - lo), 0.5)
+        x = a + min(1.0 - tl, max(tl, t)) * (b - a)
+        if not lo < x < hi:
+            x = mid
+        fx = float(cdf(d, x)) - u
+        if (fx < 0) == (fa < 0):
+            c, fc = a, fa
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        else:
+            t = 0.5
+    return 0.5 * (a + b)
 
 
 def _bracket(d, u: float):
+    """``(lo, cdf(lo), hi, cdf(hi))`` with cdf(lo) < u < cdf(hi): the parts'
+    ranges (uniform ends, normal means +- 10 sigma), widened while needed."""
     lo = math.inf
     hi = -math.inf
     for _, comp in _as_parts(d):
@@ -217,11 +278,12 @@ def _bracket(d, u: float):
         else:
             lo = min(lo, float(comp.mean) - 10.0 * float(comp.sigma))
             hi = max(hi, float(comp.mean) + 10.0 * float(comp.sigma))
-    while float(cdf(d, lo)) >= u:
-        lo -= max(1.0, hi - lo)
-    while float(cdf(d, hi)) <= u:
-        hi += max(1.0, hi - lo)
-    return lo, hi
+    # a step of at least one ulp moves an end that 1.0 cannot move
+    while (cdf_lo := float(cdf(d, lo))) >= u:
+        lo -= max(1.0, hi - lo, math.ulp(lo))
+    while (cdf_hi := float(cdf(d, hi))) <= u:
+        hi += max(1.0, hi - lo, math.ulp(hi))
+    return lo, cdf_lo, hi, cdf_hi
 
 
 def support(d) -> IntervalSet:

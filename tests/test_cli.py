@@ -134,6 +134,10 @@ class TestStateCommand:
             ("point:0", "smear((0,1);gaussian(1e-400))"),
             ("density:uniform(0,1)", "smear((0,1);gaussian(1e-400))"),
             ("density:uniform(0,1e400)", "smear((0,1);box(1))"),
+            ("density:uniform(0,1e-400)", "smear((-1,1);box(1))"),
+            ("density:uniform(0,1)", "smear((0,1);box(1e-400))"),
+            ("density:uniform(0,1)", "smear((0,1);triangle(1e-400))"),
+            ("point:0", "smear((0,1);triangle(1e-200))"),
             ("point:0", "smear({1/0}; box(1))"),
         ],
     )

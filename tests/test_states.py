@@ -2,9 +2,14 @@
 partial sharp states, and the state laws."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unsharp import states
 
 from unsharp.common import UNDETERMINED
 from unsharp.effects import box, constant, evaluate, gaussian, leq, neg, oplus, scale, smear, triangle
@@ -14,6 +19,8 @@ from unsharp.quotient import ZERO, project
 from unsharp.setexpr import parse_set_expr as parse
 from unsharp.states import (
     Mixture,
+    Uniform,
+    cdf,
     eval_density,
     eval_point,
     eval_sharp,
@@ -21,6 +28,7 @@ from unsharp.states import (
     mixture,
     mixture_expectation,
     normal,
+    pdf,
     ppf,
     sharp_probability,
     support,
@@ -271,6 +279,41 @@ class TestStateHandle:
         assert converges_to(escaping_base(20, -1), 20, Fraction(1, 8)) is DIVERGENT
 
 
+def _bisection_ppf(d, u):
+    """The mixture ppf before the cached table: bisection from the parts'
+    +- 10 sigma bracket down to 1e-12, returning the midpoint."""
+    lo, hi = math.inf, -math.inf
+    for _, comp in d.parts:
+        if isinstance(comp, Uniform):
+            lo, hi = min(lo, float(comp.lo)), max(hi, float(comp.hi))
+        else:
+            lo = min(lo, float(comp.mean) - 10.0 * float(comp.sigma))
+            hi = max(hi, float(comp.mean) + 10.0 * float(comp.sigma))
+    while float(cdf(d, lo)) >= u:
+        lo -= max(1.0, hi - lo)
+    while float(cdf(d, hi)) <= u:
+        hi += max(1.0, hi - lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12:
+            return mid
+        if float(cdf(d, mid)) < u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _count_cdf(monkeypatch):
+    calls = []
+    real = states.cdf
+    monkeypatch.setattr(states, "cdf", lambda d, x: calls.append(x) or real(d, x))
+    return calls
+
+
+_BOARD = mixture((Fraction(3, 4), normal(0, HALF)), (Fraction(1, 4), uniform(1, 2)))
+
+
 class TestPpf:
     def test_uniform_is_affine(self):
         assert ppf(uniform(0, 1), 0.25) == 0.25
@@ -278,13 +321,104 @@ class TestPpf:
     def test_gaussian_median(self):
         assert ppf(normal(2, 3), 0.5) == 2.0
 
-    def test_mixture_bisection_inverts_cdf(self):
-        from unsharp.states import cdf
-
+    def test_mixture_table_and_chandrupatla_invert_cdf(self, monkeypatch):
         d = mixture((HALF, uniform(0, 1)), (HALF, normal(4, 1)))
+        ppf(d, 0.5)  # builds the table
+        calls = _count_cdf(monkeypatch)
         for u in (0.1, 0.5, 0.9):
+            del calls[:]
             x = ppf(d, u)
             assert abs(float(cdf(d, x)) - u) < 1e-9
+            assert len(calls) <= 8
+
+    def test_plateau_returns_generalized_inverse(self):
+        # cdf is 1/2 on all of [1, 2]; the least x with cdf(x) >= 1/2 is 1
+        d = mixture((HALF, uniform(0, 1)), (HALF, uniform(2, 3)))
+        assert abs(ppf(d, 0.5) - 1.0) <= 1e-12
+
+    def test_u_equal_to_a_table_value(self):
+        # the uniform knot 1 is a table point, so its CDF value is a table value
+        u = float(cdf(_BOARD, 1.0))
+        x = ppf(_BOARD, u)
+        assert abs(x - 1.0) <= 1e-12 and abs(float(cdf(_BOARD, x)) - u) < 1e-9
+        assert abs(x - _bisection_ppf(_BOARD, u)) <= 1e-12
+
+    def test_extreme_u_inside_the_table(self, monkeypatch):
+        # the float CDF is exactly 0.0 at the bracket's lower end and 1.0 at
+        # its upper end, so both extremes are answered from the table
+        ppf(_BOARD, 0.5)
+        fallback = []
+        real = states._bracket
+        monkeypatch.setattr(states, "_bracket", lambda d, u: fallback.append(u) or real(d, u))
+        for u in (2.0**-54, 1.0 - 2.0**-53):
+            assert abs(ppf(_BOARD, u) - _bisection_ppf(_BOARD, u)) <= 1e-12
+        assert fallback == []
+
+    def test_u_above_the_table_takes_the_bracket_fallback(self, monkeypatch):
+        # seven float weights 1/7 sum to 1 - 2**-52, so the table tops out below u
+        d = mixture(*[(Fraction(1, 7), normal(i, 1)) for i in range(7)])
+        ppf(d, 0.5)
+        fallback = []
+        real = states._bracket
+        monkeypatch.setattr(states, "_bracket", lambda d, u: fallback.append(u) or real(d, u))
+        u = 1.0 - 2.0**-53
+        assert ppf(d, u) == _bisection_ppf(d, u)
+        assert fallback == [u]
+
+    @pytest.mark.parametrize("loc", [10**4, 10**6])
+    def test_terminates_far_from_the_origin(self, monkeypatch, loc):
+        # one ulp exceeds 1e-12 here, so the bracket stops at adjacent floats
+        d = mixture((HALF, uniform(loc, loc + 1)), (HALF, normal(loc, 1)))
+        ppf(d, 0.5)
+        calls = _count_cdf(monkeypatch)
+        for i in range(1, 40):
+            u = i / 40
+            del calls[:]
+            x = ppf(d, u)
+            assert len(calls) <= 40
+            assert abs(float(cdf(d, x)) - u) < 1e-9
+
+    def test_bracket_widens_where_a_unit_step_rounds_away(self):
+        # at 2**58 one ulp is 64: mean + 10 sigma rounds to the mean, where the
+        # CDF is exactly 1/2, and hi + 1.0 == hi
+        d = mixture((HALF, normal(2**58, 1)), (HALF, normal(2**58, 2)))
+        for u in (0.25, 0.5, 0.75):
+            assert abs(ppf(d, u) - 2.0**58) <= 64
+
+    def test_pickle_drops_the_table(self):
+        d = mixture((Fraction(1, 3), normal(-2, 1)), (Fraction(2, 3), uniform(0, 5)))
+        us = [i / 17 for i in range(1, 17)]
+        draws = [ppf(d, u) for u in us]
+        assert "_float_ppf" in vars(d)
+        copy = pickle.loads(pickle.dumps(d))
+        assert not any(k.startswith("_float") for k in vars(copy))
+        assert [ppf(copy, u) for u in us] == draws
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(
+                st.integers(1, 6),
+                st.booleans(),
+                st.fractions(-20, 20, max_denominator=8),
+                st.fractions(Fraction(1, 10), 5, max_denominator=10),
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        u=st.floats(1e-9, 1 - 1e-9),
+    )
+    def test_agrees_with_bisection(self, parts, u):
+        total = sum(w for w, *_ in parts)
+        d = mixture(
+            *[
+                (Fraction(w, total), uniform(at, at + size) if flat else normal(at, size))
+                for w, flat, at, size in parts
+            ]
+        )
+        want = _bisection_ppf(d, u)
+        if pdf(d, want) >= 1e-3:
+            assert abs(ppf(d, u) - want) <= 1e-11
 
     def test_domain_checked(self):
         with pytest.raises(ValueError):

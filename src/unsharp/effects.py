@@ -21,17 +21,31 @@ children's closures under the same lowering and cached.
 Effects form expression trees over smear and constant leaves with three node
 kinds: orthosum (built only after certifying the pointwise sum stays below
 one), rational scaling, and complement-in-one.  Every tree caches a certified
-range, a Lipschitz bound, both limits at infinity, and analytic tail bounds;
-the certification helpers (orthogonality, ordering, vanishing at infinity)
-combine those exact bounds with one shared grid search, ``_certify_upper``,
-whose slack is controlled by the Lipschitz constant, so a positive answer is
-always sound and an inconclusive search raises
+range, a Lipschitz bound, both limits at infinity, and analytic tail bounds,
+and every node bounds its values on a panel [x0, x1] by ``enclose(x0, x1)``:
+a smear term F(q - a) - F(q - b) lies in
+[F(x0 - a) - F(x1 - b), F(x1 - a) - F(x0 - b)] ∩ [0, 1], and scaling,
+complement and orthosum pass enclosures on by interval arithmetic.  Each
+float step of an enclosure rounds outward: endpoints to the floats just below
+and above them, CDF arguments one ``nextafter`` step out, every float CDF
+value widened by ``_CDF_ERR``, a stated bound on its float error, and every
+inexact sum or product one step out.
+
+The certification helpers (orthogonality, ordering, vanishing at infinity)
+combine the exact bounds with one best-first branch and bound over
+enclosures, ``_certify_upper``: a panel whose enclosure settles the question
+is discharged, and any other is evaluated at its midpoint, which either
+refutes (and is the witness) or is bisected.  So a positive answer is always
+sound, and an inconclusive search raises
 :class:`~unsharp.errors.CannotCertify` instead of guessing.
+:func:`effect_range_on` still brackets by a Lipschitz grid.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,6 +71,25 @@ _STD_NORMAL = NormalDist()
 _UP = 1.0 + 1e-9
 # tolerance for float noise when clamping evaluations into the certified range
 _CLAMP_SLACK = 1e-12
+# bound on |float CDF - true CDF| at a float argument.  The box and triangle
+# CDFs round a handful of operations on values in [0, 1] (at most about 5 units
+# of 2**-53); the Gaussian CDF adds libm's erf (within one ulp) and the rounded
+# argument x / sigma / sqrt(2) (at most about 3 units of 2**-53 in all).  The
+# margin also absorbs the rounding of the widening itself.
+_CDF_ERR = 2.0**-48
+
+
+def _add_down(a, b):
+    """A float at most a + b: the rounded sum, one step down unless it is exact
+    (the exactness test is Fast2Sum's, valid for finite operands)."""
+    s = a + b
+    return s if s - a == b and s - b == a else math.nextafter(s, NEG_INF)
+
+
+def _add_up(a, b):
+    """A float at least a + b: the rounded sum, one step up unless it is exact."""
+    s = a + b
+    return s if s - a == b and s - b == a else math.nextafter(s, POS_INF)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +98,24 @@ _CLAMP_SLACK = 1e-12
 
 class _Density(FloatClosures):
     """Base of the detector densities; ``_build(low)`` makes the CDF closure."""
+
+    @cached_property
+    def _cdf_err(self):
+        # _CDF_ERR counts rounding at full precision; a parameter below the
+        # normal float range rounds coarser, and the float CDF is then only
+        # known to lie in [0, 1]
+        return _CDF_ERR if self._smallest_parameter >= sys.float_info.min else 1.0
+
+    def enclose(self, t0: float, t1: float):
+        """Bounds (lo, hi) on the CDF over [t0, t1]: its float values at the
+        two ends, each widened by its error bound unless a knot branch gave
+        an exact 0 or 1."""
+        lo, hi, err = self._float(t0), self._float(t1), self._cdf_err
+        if lo.__class__ is not int:
+            lo = max(lo - err, 0.0)
+        if hi.__class__ is not int:
+            hi = min(hi + err, 1.0)
+        return lo, hi
 
     def upper_tail(self, t):
         """Mass of the density above t, for t >= 0; exact for compact support."""
@@ -87,6 +138,10 @@ class BoxDensity(_Density):
 
     @property
     def mass_radius(self) -> Fraction:
+        return self.width / 2
+
+    @property
+    def _smallest_parameter(self) -> Fraction:
         return self.width / 2
 
     @property
@@ -133,6 +188,10 @@ class TriangleDensity(_Density):
         return self.half_width
 
     @property
+    def _smallest_parameter(self) -> Fraction:
+        return min(self.half_width, 2 * self.half_width * self.half_width)
+
+    @property
     def peak(self) -> Fraction:
         return 1 / self.half_width
 
@@ -175,6 +234,10 @@ class GaussianDensity(_Density):
     @property
     def mass_radius(self) -> None:
         return None  # unbounded support
+
+    @property
+    def _smallest_parameter(self) -> Fraction:
+        return self.sigma
 
     @property
     def peak(self) -> float:
@@ -230,6 +293,10 @@ class Effect(FloatClosures):
     def value_at(self, q):
         return self._float(q) if q.__class__ is float else self._exact(q)
 
+    # enclose(x0, x1) -> (lo, hi), per node: floats (or the ints 0 and 1)
+    # with lo <= value_at(q) <= hi for every real q in the panel [x0, x1],
+    # where x0 <= x1 are floats and either may be infinite
+
     def __call__(self, q):
         return evaluate(self, q)
 
@@ -265,6 +332,13 @@ class Constant(Effect):
 
     def _build(self, low):
         return lambda q, value=self.value: value
+
+    @cached_property
+    def _enclosure(self):
+        return (float_below(self.value), float_above(self.value))
+
+    def enclose(self, x0, x1):
+        return self._enclosure
 
     @cached_property
     def range_bounds(self):
@@ -337,6 +411,33 @@ class SmearedIndicator(Effect):
             return total
 
         return value
+
+    @cached_property
+    def _float_pairs(self):
+        # each finite endpoint as the floats just below and above it; a
+        # single-point component adds F(q - a) - F(q - a) = 0 and is left out
+        return tuple(
+            tuple(None if is_infinite(t) else (float_below(t), float_above(t)) for t in pair)
+            for pair in self._pairs
+            if pair[0] != pair[1]
+        )
+
+    def enclose(self, x0, x1):
+        # F(q - a) and F(q - b) are nondecreasing in q, so on [x0, x1] the term
+        # F(q - a) - F(q - b) lies in [F(x0 - a) - F(x1 - b), F(x1 - a) - F(x0 - b)];
+        # each CDF argument is rounded one step outward
+        d, nxt = self.density, math.nextafter
+        lo = hi = 0
+        for a, b in self._float_pairs:
+            a_lo, a_hi = (1, 1) if a is None else d.enclose(
+                nxt(x0 - a[1], NEG_INF), nxt(x1 - a[0], POS_INF)
+            )
+            b_lo, b_hi = (0, 0) if b is None else d.enclose(
+                nxt(x0 - b[1], NEG_INF), nxt(x1 - b[0], POS_INF)
+            )
+            lo = _add_down(lo, max(_add_down(a_lo, -b_hi), 0))
+            hi = _add_up(hi, min(_add_up(a_hi, -b_lo), 1))
+        return lo, min(hi, 1)
 
     @cached_property
     def range_bounds(self):
@@ -422,6 +523,12 @@ class OrthoSum(Effect):
 
         return value
 
+    def enclose(self, x0, x1):
+        llo, lhi = self.left.enclose(x0, x1)
+        rlo, rhi = self.right.enclose(x0, x1)
+        # an orthosum is certified to stay at or below one
+        return _add_down(llo, rlo), min(_add_up(lhi, rhi), 1)
+
     @cached_property
     def range_bounds(self):
         llo, lhi = self.left.range_bounds
@@ -487,6 +594,18 @@ class Scaled(Effect):
         return value
 
     @cached_property
+    def _float_factor(self):
+        return float_below(self.factor), float_above(self.factor)
+
+    def enclose(self, x0, x1):
+        lo, hi = self.inner.enclose(x0, x1)
+        a_lo, a_hi = self._float_factor
+        # a product with 0 or 1 is exact; any other rounds one step outward
+        lo = a_lo * lo if lo == 0 or lo == 1 else math.nextafter(a_lo * lo, NEG_INF)
+        hi = a_hi * hi if hi == 0 or hi == 1 else math.nextafter(a_hi * hi, POS_INF)
+        return lo, hi
+
+    @cached_property
     def range_bounds(self):
         lo, hi = self.inner.range_bounds
         return (self.factor * lo, self.factor * hi)
@@ -526,6 +645,10 @@ class Complemented(Effect):
     def _build(self, low):
         inner = self.inner._closure(low)
         return lambda q: 1 - inner(q)
+
+    def enclose(self, x0, x1):
+        lo, hi = self.inner.enclose(x0, x1)
+        return _add_down(1, -hi), _add_up(1, -lo)
 
     @cached_property
     def range_bounds(self):
@@ -615,8 +738,8 @@ def evaluate(f: Effect, q):
 # ---------------------------------------------------------------------------
 # numeric certification helpers
 
-_GRID_START = 1 << 10
-_GRID_CAP = 1 << 20
+# midpoint evaluations one certificate may make before it gives up
+_EVAL_CAP = 1 << 13
 _TAIL_EPS = 2.0**-40
 
 
@@ -635,23 +758,34 @@ def _grid_minmax(value_at, x0: float, x1: float, pts: int):
     return vmin, argmin, vmax, argmax
 
 
-def _certify_upper(h, c: float, windows, L: float, settled: bool, what: str):
-    """Certify h <= c on the windows by doubling grids, h being L-Lipschitz.
-    Returns a refuting grid argmax ``(x, h(x))``, or None once every window's
-    max plus half a step of slack is at most c and ``settled`` (the verdict
-    outside the windows) holds; raises :class:`CannotCertify` at the cap."""
-    pts = _GRID_START
-    while pts <= _GRID_CAP:
-        worst = -math.inf
-        for x0, x1 in windows:
-            _, _, vmax, argmax = _grid_minmax(h, x0, x1, pts)
-            if vmax > c + _CLAMP_SLACK:
-                return argmax, vmax
-            worst = max(worst, vmax + L * (x1 - x0) / pts / 2.0)
-        if worst <= c and settled:
-            return None
-        pts *= 2
-    raise CannotCertify(f"{what} certification exhausted its grid budget")
+def _certify_upper(h, upper, c: float, windows, settled: bool, message: str):
+    """Certify h <= c on the windows by best-first branch and bound.
+
+    ``upper(x0, x1)`` bounds h from above on the panel [x0, x1].  A panel is
+    discharged when that bound is at most c.  Otherwise the open panel with the
+    largest bound (ties broken by position) is evaluated at its midpoint m,
+    which refutes when ``h(m) > c + _CLAMP_SLACK``; if it does not, the panel
+    is bisected.  Returns the refuting ``(m, h(m))``, or None once every panel
+    is discharged and ``settled`` (the verdict outside the windows) holds.
+    Raises :class:`CannotCertify` with ``message`` otherwise, at the latest
+    after ``_EVAL_CAP`` midpoint evaluations."""
+    heap = [(-u, x0, x1) for x0, x1 in windows if (u := upper(x0, x1)) > c]
+    heapq.heapify(heap)
+    for _ in range(_EVAL_CAP):
+        if not heap:
+            break
+        _, x0, x1 = heapq.heappop(heap)
+        m = 0.5 * x0 + 0.5 * x1
+        v = h(m)
+        if v > c + _CLAMP_SLACK:
+            return m, v
+        for a, b in ((x0, m), (m, x1)):
+            u = upper(a, b)
+            if u > c:
+                heapq.heappush(heap, (-u, a, b))
+    if heap or not settled:
+        raise CannotCertify(message)
+    return None
 
 
 def orthogonality(f: Effect, g: Effect):
@@ -671,7 +805,6 @@ def orthogonality(f: Effect, g: Effect):
         v = float(f.value_at(0.0)) + float(g.value_at(0.0))
         raise NotOrthogonal("sum exceeds 1 everywhere", witness_point=0.0, witness_value=v)
 
-    L = f.lipschitz + g.lipschitz
     H = max(f.tail_radius(_TAIL_EPS), g.tail_radius(_TAIL_EPS), 1.0)
     fo = f.outside_bounds(H)
     go = g.outside_bounds(H)
@@ -685,7 +818,11 @@ def orthogonality(f: Effect, g: Effect):
     out_hi = max(float(fo[0][1] + go[0][1]), float(fo[1][1] + go[1][1]))
 
     total = lambda x: float(f.value_at(x)) + float(g.value_at(x))
-    refuted = _certify_upper(total, 1.0, ((-H, H),), L, out_hi <= 1.0, "orthogonality")
+    upper = lambda x0, x1: _add_up(f.enclose(x0, x1)[1], g.enclose(x0, x1)[1])
+    refuted = _certify_upper(
+        total, upper, 1.0, ((-H, H),), out_hi <= 1.0,
+        "orthogonality certification exhausted its grid budget",
+    )
     if refuted is not None:
         raise NotOrthogonal("sum exceeds 1", witness_point=refuted[0], witness_value=refuted[1])
 
@@ -737,7 +874,6 @@ def leq(f: Effect, g: Effect) -> LeqResult:
     if g.range_hi < f.range_lo:
         return LeqResult(False, witness_point=0.0)
 
-    L = f.lipschitz + g.lipschitz
     H = max(f.tail_radius(_TAIL_EPS), g.tail_radius(_TAIL_EPS), 1.0)
     fo = f.outside_bounds(H)
     go = g.outside_bounds(H)
@@ -750,10 +886,12 @@ def leq(f: Effect, g: Effect) -> LeqResult:
         float(go[1][0]) - float(fo[1][1]),
     )
 
-    # the exact float negation of the gap g - f: its first grid argmax is the
-    # gap's first argmin
     excess = lambda x: float(f.value_at(x)) - float(g.value_at(x))
-    refuted = _certify_upper(excess, 0.0, ((-H, H),), L, out_lo >= 0.0, "ordering")
+    upper = lambda x0, x1: _add_up(f.enclose(x0, x1)[1], -g.enclose(x0, x1)[0])
+    refuted = _certify_upper(
+        excess, upper, 0.0, ((-H, H),), out_lo >= 0.0,
+        "ordering certification exhausted its grid budget",
+    )
     if refuted is not None:
         return LeqResult(False, witness_point=refuted[0])
     return LeqResult(True, witness_effect=_difference_effect(g, f))
@@ -773,25 +911,20 @@ def vanishes_at_infinity(f: Effect, tol, horizon) -> bool:
     if llo > tol or rlo > tol:
         return False
 
-    # the horizon cuts into the active zone: bound the two rings by grid
+    # the horizon cuts into the active zone: search the two rings out to H;
+    # where the tail bound beyond H exceeds tol, only a refutation can end it
     eps = min(_TAIL_EPS, tol_f / 4 if tol_f > 0 else _TAIL_EPS)
     H = max(f.tail_radius(eps), horizon_f)
     (llo2, lhi2), (rlo2, rhi2) = f.outside_bounds(H)
-    if max(float(lhi2), float(rhi2)) > tol_f:
-        return _ring_refute_or_fail(f, tol_f, horizon_f, H)
+    settled = max(float(lhi2), float(rhi2)) <= tol_f
     rings = tuple((x0, x1) for x0, x1 in ((-H, -horizon_f), (horizon_f, H)) if x1 > x0)
-    return _certify_upper(f.value_at, tol_f, rings, f.lipschitz, True, "vanishing") is None
-
-
-def _ring_refute_or_fail(f, tol_f, horizon_f, H):
-    pts = _GRID_CAP >> 4
-    for x0, x1 in ((-H, -horizon_f), (horizon_f, H)):
-        if x1 <= x0:
-            continue
-        _, _, vmax, _ = _grid_minmax(f.value_at, x0, x1, pts)
-        if vmax > tol_f + _CLAMP_SLACK:
-            return False
-    raise CannotCertify("cannot certify vanishing: tail bound exceeds tolerance")
+    message = (
+        "vanishing certification exhausted its grid budget"
+        if settled
+        else "cannot certify vanishing: tail bound exceeds tolerance"
+    )
+    upper = lambda x0, x1: f.enclose(x0, x1)[1]
+    return _certify_upper(f.value_at, upper, tol_f, rings, settled, message) is None
 
 
 def effect_range_on(f: Effect, region: IntervalSet, tail_eps: float = 1e-12, pts: int = 64):

@@ -11,10 +11,14 @@ range because draw i never depends on draw i-1.
 
 from __future__ import annotations
 
+import math
+
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# the largest float below 1; see unit_uniform
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def splitmix64(x: int) -> int:
@@ -34,7 +38,10 @@ def stream_word(seed: int, index: int) -> int:
 
 def unit_uniform(seed: int, index: int) -> float:
     """The ``index``-th uniform draw in the open interval (0, 1)."""
-    return ((stream_word(seed, index) >> 11) + 0.5) * 2.0**-53
+    u = ((stream_word(seed, index) >> 11) + 0.5) * 2.0**-53
+    # (2**53 - 1) + 0.5 is a tie that rounds to 2**53, so the one word whose
+    # top 53 bits are all ones would give 1.0; every other word is unchanged
+    return u if u < 1.0 else _BELOW_ONE
 
 
 def substream_seed(seed: int, stream: int) -> int:

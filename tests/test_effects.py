@@ -288,13 +288,25 @@ class TestVanishing:
             vanishes_at_infinity(f, 0, 100)
 
 
+def test_touching_one_orthosum_default_budget():
+    # f + g is 1 on the whole ramp, so every enclosure there reaches above 1
+    # and no midpoint exceeds it: the default budget runs out, in well under
+    # a second
+    f = smear(parse("(0,2)"), box(1))
+    g = neg(smear(parse("(0,1) | (1,2)"), box(1)))
+    with pytest.raises(CannotCertify) as info:
+        oplus(f, g)
+    assert str(info.value) == "orthogonality certification exhausted its grid budget"
+
+
 class TestCertifierBudget:
-    """The sup equals the bound exactly, so no grid refutes and no Lipschitz
-    slack certifies: a small grid budget runs out with the caller's message."""
+    """The sup equals the bound exactly, so no midpoint refutes and no
+    enclosure at the sup discharges its panel: a small evaluation budget runs
+    out with the caller's message."""
 
     @pytest.fixture(autouse=True)
     def small_budget(self, monkeypatch):
-        monkeypatch.setattr(effects, "_GRID_CAP", 1 << 12)
+        monkeypatch.setattr(effects, "_EVAL_CAP", 1 << 8)
 
     def _message(self, call):
         with pytest.raises(CannotCertify) as info:

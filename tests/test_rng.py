@@ -1,6 +1,11 @@
 """Counter-based random stream: conformance and determinism."""
 
+import math
+from fractions import Fraction
+
+from unsharp import rng
 from unsharp.rng import splitmix64, stream_word, substream_seed, unit_uniform
+from unsharp.states import mixture, normal, ppf, uniform
 
 
 def test_reference_vector_seed_zero():
@@ -23,6 +28,17 @@ def test_unit_uniform_open_interval():
     for i in range(2000):
         u = unit_uniform(31337, i)
         assert 0.0 < u < 1.0
+
+
+def test_all_ones_word_stays_below_one(monkeypatch):
+    # (2**53 - 1) + 0.5 rounds to 2**53 in floats, which would make u == 1.0
+    monkeypatch.setattr(rng, "stream_word", lambda seed, index: 2**64 - 1)
+    u = unit_uniform(0, 0)
+    assert 0.0 < u < 1.0
+    assert u == math.nextafter(1.0, 0.0)
+    half = Fraction(1, 2)
+    for d in (uniform(0, 1), normal(0, 1), mixture((half, uniform(-1, 1)), (half, normal(0, 1)))):
+        assert math.isfinite(ppf(d, u))
 
 
 def test_streams_differ_across_seeds_and_indices():

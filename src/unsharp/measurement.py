@@ -12,6 +12,7 @@ partitioned across workers by index range.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,7 +54,10 @@ def dyadic_cell(q, n: int) -> int:
     if n < 0:
         raise ValueError("level must be nonnegative")
     if isinstance(q, float):
-        return math.floor(q * (1 << n))  # binary scaling is exact for floats
+        try:
+            return math.floor(q * (1 << n))  # binary scaling is exact for floats
+        except OverflowError:  # 2^n or q*2^n is beyond the float range
+            return math.floor(Fraction(q) * (1 << n))
     return math.floor(as_fraction(q) * (1 << n))
 
 
@@ -84,11 +88,15 @@ class MeasurementRecord:
 def run_protocol(d, n: int, count: int, seed: int) -> MeasurementRecord:
     """Measure ``count`` draws from ``d`` at precision level ``n``: record
     which dyadic cell each value falls in."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
     draws = sample(d, count, seed)
-    counts: dict = {}
-    for q in draws:
-        i = dyadic_cell(q, n)
-        counts[i] = counts.get(i, 0) + 1
+    floor = math.floor
+    try:
+        scale = float(1 << n)  # q * scale is exact, as in dyadic_cell
+        counts = Counter([floor(q * scale) for q in draws])
+    except OverflowError:  # 2^n or some q*2^n is beyond the float range
+        counts = Counter([dyadic_cell(q, n) for q in draws])
     return MeasurementRecord(
         seed=seed, level=n, counts=tuple(sorted(counts.items())), total=count
     )

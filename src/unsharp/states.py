@@ -22,7 +22,8 @@ form for ``Uniform`` and ``Normal``.  A ``Mixture`` caches a table of CDF values
 at 64 equal cells over its ``_bracket`` and at its uniform knots, built on the
 first draw; each draw finds its cell by ``bisect`` and narrows it by
 Chandrupatla's method.  Every CDF value, table entries included, comes from
-:func:`cdf`.
+:func:`cdf`.  A u above the table's last value, which the float CDF never
+reaches, inverts the upper tail instead.
 """
 
 from __future__ import annotations
@@ -158,11 +159,16 @@ class Mixture(_Model):
         xs = [lo] + sorted(x for x in inner if lo < x < hi) + [hi]
         cs = [cdf_lo] + [float(cdf(self, x)) for x in xs[1:-1]] + [cdf_hi]
 
+        def value(x):
+            return float(cdf(self, x))
+
         def draw(u):
             k = bisect_left(cs, u)  # cs[k - 1] < u <= cs[k]
             if 0 < k < len(cs):
-                return _narrow(self, u, xs[k - 1], cs[k - 1], xs[k], cs[k])
-            return _narrow(self, u, *_bracket(self, u))
+                return _narrow(value, u, xs[k - 1], cs[k - 1], xs[k], cs[k])
+            if k == len(cs):
+                return _upper_tail(self, u, xs)
+            return _narrow(value, u, *_bracket(self, u))
 
         return draw
 
@@ -228,9 +234,10 @@ def ppf(d, u: float) -> float:
 _CELLS = 64
 
 
-def _narrow(d, u, a, fa, b, fb):
-    """Chandrupatla's method (Adv. Eng. Softw. 28, 1997) on cdf(x) - u over
-    [a, b], where cdf(a) < u <= cdf(b); fa and fb are those CDF values.
+def _narrow(f, u, a, fa, b, fb):
+    """Chandrupatla's method (Adv. Eng. Softw. 28, 1997) on f(x) - u over
+    [a, b], where f is nondecreasing and f(a) < u <= f(b); fa and fb are those
+    values of f.
 
     The first step is a secant step.  Then ``a`` is the newest point, ``b``
     the opposite end of the bracket and ``c`` the end last dropped; the xi/phi
@@ -251,7 +258,7 @@ def _narrow(d, u, a, fa, b, fb):
         x = a + min(1.0 - tl, max(tl, t)) * (b - a)
         if not lo < x < hi:
             x = mid
-        fx = float(cdf(d, x)) - u
+        fx = f(x) - u
         if (fx < 0) == (fa < 0):
             c, fc = a, fa
         else:
@@ -264,6 +271,39 @@ def _narrow(d, u, a, fa, b, fb):
         else:
             t = 0.5
     return 0.5 * (a + b)
+
+
+def _upper_tail(d, u, xs):
+    """ppf for a u above the last CDF value of the table over ``xs``.  There
+    the float CDF has stopped short of u (seven float weights 1/7 sum to
+    1 - 2**-52), so solve the upper tail ``sum w * Q(x) = 1 - u`` instead,
+    with Q from :func:`math.erfc` for normal parts and linear on uniform
+    parts."""
+    terms = [
+        (float(w), True, float(c.lo), float(c.hi))
+        if isinstance(c, Uniform)
+        else (float(w), False, float(c.mean), float(c.sigma) * _SQRT2)
+        for w, c in d.parts
+    ]
+
+    def minus_tail(x):
+        total = 0.0
+        for w, flat, a, b in terms:
+            if not flat:
+                total += w * 0.5 * math.erfc((x - a) / b)
+            elif x < b:
+                total += w if x <= a else w * ((b - x) / (b - a))
+        return -total
+
+    # 1 - u is exact for u > 1/2, and the tail at xs[-1], past every part's
+    # hi and mean + 10 sigma, is below 1e-23 < 1 - u
+    r = 1.0 - u
+    k = len(xs) - 1
+    fb, fa = minus_tail(xs[k]), minus_tail(xs[k - 1])
+    while fa >= -r:
+        k -= 1
+        fb, fa = fa, minus_tail(xs[k - 1])
+    return _narrow(minus_tail, -r, xs[k - 1], fa, xs[k], fb)
 
 
 def _bracket(d, u: float):

@@ -37,6 +37,18 @@ class TestDyadicCell:
             lo, hi = scheme.cell_bounds(i)
             assert lo <= q < hi
 
+    @pytest.mark.parametrize("n", [1023, 1024, 1100])
+    def test_exact_beyond_the_float_range(self, n):
+        # 2**1024 and q * 2**n past 2**1024 are not floats; cells stay exact
+        for q in (0.3, -0.1, 1.5, -1e10, 0.0):
+            assert dyadic_cell(q, n) == math.floor(Fraction(q) * 2**n)
+        draws = sample(normal(0, 1), 50, 3)
+        want: dict = {}
+        for q in draws:
+            i = math.floor(Fraction(q) * 2**n)
+            want[i] = want.get(i, 0) + 1
+        assert run_protocol(normal(0, 1), n, 50, 3).as_dict() == want
+
     def test_refinement_parent(self):
         scheme = PrecisionScheme(6)
         for q in (0.33, -1.7, 5.01):

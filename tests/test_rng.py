@@ -1,10 +1,14 @@
 """Counter-based random stream: conformance and determinism."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
+import pytest
+
 from unsharp import rng
-from unsharp.rng import splitmix64, stream_word, substream_seed, unit_uniform
+from unsharp.rng import GAMMA, splitmix64, stream_word, substream_seed, unit_uniform
 from unsharp.states import mixture, normal, ppf, uniform
 
 
@@ -55,7 +59,64 @@ def test_substream_derivation_deterministic():
 
 
 def test_negative_index_rejected():
-    import pytest
-
     with pytest.raises(ValueError):
         stream_word(0, -1)
+
+
+# ---------------------------------------------------------------------------
+# the packed block kernel against the scalar finalizer
+
+_MASK = (1 << 64) - 1
+_SEEDS = [0, 1, 2**64 - 1, 2**64 + 5, -3, 2**100]
+_EDGES = [0, 255, 256, 257, 511, 2**40 + 255, 2**64 + 3]
+
+
+def _reference(seed, index):
+    return splitmix64((seed + index * GAMMA) & _MASK)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_kernel_matches_scalar_finalizer_at_block_edges(seed):
+    for i in _EDGES:
+        assert stream_word(seed, i) == _reference(seed, i)
+    # backwards too, so each index is read from a freshly computed block
+    for i in reversed(_EDGES):
+        assert stream_word(seed, i) == _reference(seed, i)
+
+
+def test_kernel_matches_scalar_finalizer_over_whole_blocks():
+    for seed in _SEEDS:
+        assert [stream_word(seed, i) for i in range(768)] == [_reference(seed, i) for i in range(768)]
+
+
+def test_alternating_seeds_switch_the_cached_block():
+    a, b = 0x0123456789ABCDEF, 2**64 + 0x0123456789ABCDEF + 1
+    for i in range(300):
+        assert stream_word(a, i) == _reference(a, i)
+        assert stream_word(b, i) == _reference(b, i)
+
+
+def test_two_threads_drawing_different_seeds():
+    seeds = (11, 2**64 - 11)
+    mismatches = []
+    done = []
+
+    def draw(seed):
+        got = [stream_word(seed, i) for i in range(0, 20_000, 7)]
+        if got != [_reference(seed, i) for i in range(0, 20_000, 7)]:
+            mismatches.append(seed)
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(s,)) for s in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == sorted(seeds)
+    assert mismatches == []

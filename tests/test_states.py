@@ -354,16 +354,36 @@ class TestPpf:
             assert abs(ppf(_BOARD, u) - _bisection_ppf(_BOARD, u)) <= 1e-12
         assert fallback == []
 
-    def test_u_above_the_table_takes_the_bracket_fallback(self, monkeypatch):
-        # seven float weights 1/7 sum to 1 - 2**-52, so the table tops out below u
-        d = mixture(*[(Fraction(1, 7), normal(i, 1)) for i in range(7)])
-        ppf(d, 0.5)
+    def test_u_above_the_table_solves_the_upper_tail(self, monkeypatch):
+        # seven float weights 1/7 sum to 1 - 2**-52, so the float CDF never
+        # reaches u, the largest draw of unit_uniform
+        seventh = Fraction(1, 7)
+        gaussian_tails = [
+            mixture(*[(seventh, normal(i, 1)) for i in range(7)]),
+            mixture(*[(seventh, uniform(i, i + 1) if i % 2 else normal(i, 1)) for i in range(7)]),
+        ]
+        flat = mixture(*[(seventh, uniform(i, i + 2)) for i in range(7)])
+
+        def erfc_tail(d, x):
+            return sum(
+                float(w) * 0.5 * math.erfc((x - float(c.mean)) / float(c.sigma) / math.sqrt(2))
+                for w, c in d.parts
+                if not isinstance(c, Uniform)
+            )
+
+        for d in gaussian_tails + [flat]:
+            ppf(d, 0.5)  # builds the table
         fallback = []
         real = states._bracket
         monkeypatch.setattr(states, "_bracket", lambda d, u: fallback.append(u) or real(d, u))
         u = 1.0 - 2.0**-53
-        assert ppf(d, u) == _bisection_ppf(d, u)
-        assert fallback == [u]
+        for d in gaussian_tails:
+            x = ppf(d, u)
+            assert math.isfinite(x)
+            assert abs(erfc_tail(d, x) - (1.0 - u)) <= 1e-6 * (1.0 - u)
+        # only uniform(6, 8) reaches past 7, where its tail is (8 - x) / 14
+        assert abs(ppf(flat, u) - (8.0 - 14.0 * (1.0 - u))) <= 1e-12
+        assert fallback == []
 
     @pytest.mark.parametrize("loc", [10**4, 10**6])
     def test_terminates_far_from_the_origin(self, monkeypatch, loc):

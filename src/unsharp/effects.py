@@ -38,7 +38,9 @@ is discharged, and any other is evaluated at its midpoint, which either
 refutes (and is the witness) or is bisected.  So a positive answer is always
 sound, and an inconclusive search raises
 :class:`~unsharp.errors.CannotCertify` instead of guessing.
-:func:`effect_range_on` still brackets by a Lipschitz grid.
+:func:`effect_range_on` still brackets by a Lipschitz grid, and
+:func:`range_stays_wide` reads that grid's slack to tell, without evaluating,
+when its bracket cannot be narrower than a given width.
 """
 
 from __future__ import annotations
@@ -927,7 +929,44 @@ def vanishes_at_infinity(f: Effect, tol, horizon) -> bool:
     return _certify_upper(f.value_at, upper, tol_f, rings, settled, message) is None
 
 
-def effect_range_on(f: Effect, region: IntervalSet, tail_eps: float = 1e-12, pts: int = 64):
+# grid steps effect_range_on takes over each component
+_RANGE_PTS = 64
+
+
+def _grid_slack(L: float, x0: float, x1: float, pts: int) -> float:
+    """How far :func:`effect_range_on` widens a grid's min and max over
+    [x0, x1] on each side: half of one of its ``pts`` steps times the
+    Lipschitz bound ``L``."""
+    return L * (x1 - x0) / pts / 2.0
+
+
+def range_stays_wide(f: Effect, region: IntervalSet, tol: float) -> bool:
+    """True only if ``effect_range_on(f, region)`` is at least ``tol > 0``
+    wide, judged from its grid slack without evaluating f.
+
+    The test: the region is bounded, the float range of f is at least tol
+    wide, and the widest component gets slack S >= 2 tol + 2 _CLAMP_SLACK.
+    Before the clamp the bracket holds [vmin - S, vmax + S], at least 2 S
+    wide.  Clamped on one side only, it keeps S minus the float excursion of
+    ``value_at`` past the range (at most _CLAMP_SLACK) minus the rounding of
+    the sums (a few units of 2**-53 on values in [0, 1], under the second
+    _CLAMP_SLACK).  Clamped on both sides, it is the float range.
+
+    A bounded region containing one that passes passes too: the component
+    around the widest one is at least as wide, so it gets at least that S."""
+    vals = region._vals
+    if is_infinite(vals[0]) or is_infinite(vals[-1]):
+        return False
+    if float(f.range_hi) - float(f.range_lo) < tol:
+        return False
+    ga, gb = max(
+        ((float(vals[k]), float(vals[k + 1])) for k in range(0, len(vals), 2)),
+        key=lambda c: c[1] - c[0],
+    )
+    return _grid_slack(f.lipschitz, ga, gb, _RANGE_PTS) >= 2.0 * tol + 2.0 * _CLAMP_SLACK
+
+
+def effect_range_on(f: Effect, region: IntervalSet, tail_eps: float = 1e-12, pts: int = _RANGE_PTS):
     """Certified bracket [lo, hi] around {f(q) : q in region} (closure).
 
     Bounded components are bracketed by a grid with Lipschitz slack;
@@ -966,7 +1005,7 @@ def effect_range_on(f: Effect, region: IntervalSet, tail_eps: float = 1e-12, pts
             gb = float(b)
         if gb > ga:
             vmin, _, vmax, _ = _grid_minmax(f.value_at, ga, gb, pts)
-            slack = L * (gb - ga) / pts / 2.0
+            slack = _grid_slack(L, ga, gb, pts)
             lo = min(lo, vmin - slack)
             hi = max(hi, vmax + slack)
         else:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .common import DIVERGENT, NEG_INF, POS_INF, UNDETERMINED, as_fraction, is_infinite
 from .errors import FmpViolation, ZeroClassError
-from .intervals import Interval, IntervalSet
+from .intervals import Interval, IntervalSet, _view
 from .quotient import UNIT, QuotientClass, project, q_meet
 
 
@@ -258,7 +258,7 @@ def has_fmp(base: FilterBase, k: int) -> FmpCertificate:
                     f"{{{', '.join(str(x) for x in base.adjoined)}}} is zero"
                 ),
             )
-        witnesses.append((depth, m.rep.components[0]))
+        witnesses.append((depth, _view(*m.rep._vals[:2], False, False)))  # reps are open
     return FmpCertificate(True, k, witnesses=tuple(witnesses))
 
 

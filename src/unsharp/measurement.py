@@ -54,11 +54,17 @@ def dyadic_cell(q, n: int) -> int:
     if n < 0:
         raise ValueError("level must be nonnegative")
     if isinstance(q, float):
-        try:
-            return math.floor(q * (1 << n))  # binary scaling is exact for floats
-        except OverflowError:  # 2^n or q*2^n is beyond the float range
-            return math.floor(Fraction(q) * (1 << n))
+        return _float_cell(q, n, 1 << n)
     return math.floor(as_fraction(q) * (1 << n))
+
+
+def _float_cell(q: float, n: int, unit: int) -> int:
+    """:func:`dyadic_cell` of a float q, given ``unit == 1 << n``."""
+    try:
+        return math.floor(q * unit)  # binary scaling is exact for floats
+    except OverflowError:  # 2^n or q*2^n is beyond the float range
+        a, b = q.as_integer_ratio()
+        return (a << n) // b
 
 
 def sample(d, count: int, seed: int) -> list:
@@ -92,11 +98,12 @@ def run_protocol(d, n: int, count: int, seed: int) -> MeasurementRecord:
         raise ValueError("level must be nonnegative")
     draws = sample(d, count, seed)
     floor = math.floor
+    unit = 1 << n
     try:
-        scale = float(1 << n)  # q * scale is exact, as in dyadic_cell
+        scale = float(unit)  # q * scale is exact, as in dyadic_cell
         counts = Counter([floor(q * scale) for q in draws])
     except OverflowError:  # 2^n or some q*2^n is beyond the float range
-        counts = Counter([dyadic_cell(q, n) for q in draws])
+        counts = Counter([_float_cell(q, n, unit) for q in draws])
     return MeasurementRecord(
         seed=seed, level=n, counts=tuple(sorted(counts.items())), total=count
     )

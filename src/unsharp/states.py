@@ -9,7 +9,11 @@ integral with a composite Gauss-Legendre rule on its own mesh, so one route
 can check the other without sharing failure modes.
 
 Sharp states induced by filter bases are partial: :func:`eval_sharp` answers
-1, 0, or :data:`~unsharp.common.UNDETERMINED` and is never totalized.
+1, 0, or :data:`~unsharp.common.UNDETERMINED` and is never totalized.  On
+effects, :func:`filter_effect_value` squeezes a certified bracket along the
+truncated meets at doubling depths.  It skips, unevaluated, the leading rounds
+whose grid slack alone keeps the bracket at least tol wide; no such round can
+close, so no value moves.
 
 Each model writes its CDF once, as a closure builder ``_build(low)`` over the
 lowerings of :mod:`unsharp.common`.  :func:`cdf` reads a rational point
@@ -43,7 +47,7 @@ from .common import (
     as_fraction,
     is_infinite,
 )
-from .effects import Effect, effect_range_on, evaluate
+from .effects import Effect, effect_range_on, evaluate, range_stays_wide
 from .filters import FilterBase, doubling_depths, escaping_base
 from .intervals import Interval, IntervalSet, REALS
 from .quadrature import adaptive_simpson_pieces, gauss_legendre
@@ -51,6 +55,9 @@ from .quotient import QuotientClass, point_membership_state, q_leq, q_not
 
 _STD_NORMAL = NormalDist()
 _SQRT2 = math.sqrt(2.0)
+# a component narrower than this times a normal part's sigma takes the pdf
+# route in sharp_probability
+_NARROW = 2.0**-20
 _ZERO = Fraction(0)
 
 
@@ -59,6 +66,12 @@ _ZERO = Fraction(0)
 
 
 class _Model(FloatClosures):
+    @cached_property
+    def _narrow_width(self) -> float:
+        """Components narrower than this take the pdf route in
+        :func:`sharp_probability` for some normal part; 0.0 without one."""
+        return _NARROW * max((float(p.sigma) for _, p in _as_parts(self) if isinstance(p, Normal)), default=0.0)
+
     def _build(self, low):
         """The CDF at finite x.  Normal parts compute in floats under both
         lowerings; uniform parts compare x with their ends through the
@@ -355,13 +368,35 @@ def model_knots(d):
 
 def sharp_probability(d, s: IntervalSet):
     """Probability that the sharp value lies in s: summed CDF differences.
-    Exact for uniform-only models; null sets get probability zero."""
+    Exact for uniform-only models; null sets get probability zero.
+
+    On a component narrower than 2^-20 sigma of a normal part, that part's
+    mass is two-point Gauss-Legendre of its pdf instead: there the difference
+    of two float CDF values keeps few digits, and none once the component is
+    narrower than the CDF's ulp."""
+    cut = d._narrow_width
     total = 0
     for c in s.components:
         lo = NEG_INF if is_infinite(c.lo) else c.lo
         hi = POS_INF if is_infinite(c.hi) else c.hi
-        total = total + (cdf(d, hi) - cdf(d, lo))
+        if cut and (width := float(hi) - float(lo)) < cut:
+            for w, part in _as_parts(d):
+                if isinstance(part, Normal) and width < _NARROW * float(part.sigma):
+                    total = total + float(w) * _gauss_legendre_2(part, lo, hi)
+                else:
+                    total = total + w * (cdf(part, hi) - cdf(part, lo))
+        else:
+            total = total + (cdf(d, hi) - cdf(d, lo))
     return total
+
+
+def _gauss_legendre_2(part, lo, hi) -> float:
+    """Two-point Gauss-Legendre of a normal part's pdf over [lo, hi]; its
+    relative error is of order ((hi - lo) / sigma)^4."""
+    half = float(hi - lo) / 2.0
+    mid = float((lo + hi) / 2)
+    node = half / math.sqrt(3.0)
+    return half * (pdf(part, mid - node) + pdf(part, mid + node))
 
 
 def eval_point(lam, f: Effect):
@@ -550,7 +585,15 @@ def filter_effect_value(base: FilterBase, f: Effect, depth: int, tol):
     converging to a point this equals the response curve at that point (the
     curve is Lipschitz and the meets shrink onto the point); for escaping
     bases and effects that vanish at infinity it returns a value within tol of
-    zero.  Returns :data:`UNDETERMINED` if the squeeze never closes."""
+    zero.  Returns :data:`UNDETERMINED` if the squeeze never closes.
+
+    Rounds that cannot close are skipped unevaluated.  When the first meet
+    is bounded and :func:`~unsharp.effects.range_stays_wide` shows that the
+    grid slack of :func:`~unsharp.effects.effect_range_on` keeps its bracket
+    at least tol wide, the depths are bisected for the first round where it
+    no longer does, and the loop starts there.  The meets are nested, so the
+    skipped rounds form a prefix of the depths; none of them could have
+    closed, so the value is the one the loop over every round gives."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     tol_f = float(tol)
@@ -561,7 +604,25 @@ def filter_effect_value(base: FilterBase, f: Effect, depth: int, tol):
         return (lo_r + hi_r) / 2  # global range already narrower than tol
     depth = max(min(depth, base.size), 1)  # an empty base still yields one (unit) meet
     tail_eps = tol_f / 8.0
-    for k in doubling_depths(depth, 1):
+    depths = doubling_depths(depth, 1)
+
+    # Every meet lies inside the first, so when the first is bounded the
+    # rounds whose bracket range_stays_wide proves too wide form a prefix of
+    # the depths; a zero meet ends the search, and every later meet is zero.
+    def cannot_close(k):
+        m = base.truncated_meet(k)
+        return not m.is_zero and range_stays_wide(f, m.rep, tol_f)
+
+    start = 0
+    if cannot_close(depths[0]):
+        start, stop = 1, len(depths)
+        while start < stop:
+            mid = (start + stop) // 2
+            if cannot_close(depths[mid]):
+                start = mid + 1
+            else:
+                stop = mid
+    for k in depths[start:]:
         m = base.truncated_meet(k)
         if m.is_zero:
             return UNDETERMINED

@@ -40,8 +40,13 @@ class TestDyadicCell:
     @pytest.mark.parametrize("n", [1023, 1024, 1100])
     def test_exact_beyond_the_float_range(self, n):
         # 2**1024 and q * 2**n past 2**1024 are not floats; cells stay exact
-        for q in (0.3, -0.1, 1.5, -1e10, 0.0):
-            assert dyadic_cell(q, n) == math.floor(Fraction(q) * 2**n)
+        boundaries = (0.5, -0.75, 2.0**-1000, -(2.0**-1023), math.ldexp(-5, -1020), -(2.0**1000))
+        # just off a cell edge, or far out
+        near = (math.nextafter(0.5, 0.0), math.nextafter(-0.75, -1.0), -(2.0**-1074), math.ldexp(-5, -1050), -1.7e308)
+        for q in (0.3, -0.1, 1.5, -1e10, 0.0, -0.0) + boundaries + near:
+            assert dyadic_cell(q, n) == math.floor(Fraction(q) * 2**n), q
+        for q in boundaries:  # on a cell's lower edge
+            assert Fraction(q) * 2**n == dyadic_cell(q, n)
         draws = sample(normal(0, 1), 50, 3)
         want: dict = {}
         for q in draws:

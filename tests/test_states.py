@@ -3,6 +3,7 @@ partial sharp states, and the state laws."""
 
 import math
 import pickle
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,12 @@ from unsharp import states
 
 from unsharp.common import UNDETERMINED
 from unsharp.effects import box, constant, evaluate, gaussian, leq, neg, oplus, scale, smear, triangle
-from unsharp.filters import adjoin, escaping_base, neighborhood_base
+from unsharp.filters import adjoin, disjoint_family, doubling_depths, escaping_base, filter_base, neighborhood_base
 from unsharp.intervals import interval, points
 from unsharp.quotient import ZERO, project
+from unsharp.rng import substream_seed
 from unsharp.setexpr import parse_set_expr as parse
+from unsharp.verify import Draw, _random_effect
 from unsharp.states import (
     Mixture,
     Uniform,
@@ -36,6 +39,7 @@ from unsharp.states import (
 )
 
 HALF = Fraction(1, 2)
+_PI50 = Decimal("3.14159265358979323846264338327950288419716939937510582")
 
 
 class TestEvalPoint:
@@ -67,6 +71,34 @@ class TestSharpProbability:
         got = sharp_probability(d, parse("(1/2, 3)"))
         assert got == Fraction(1, 4) * HALF + Fraction(3, 4) * HALF
         assert isinstance(got, Fraction)
+
+    @pytest.mark.parametrize("level", [40, 60])
+    def test_fine_cells_keep_their_digits(self, level):
+        # a cell far narrower than sigma holds width * pdf(mid) to O(width^3)
+        def dec(x):
+            return Decimal(x.numerator) / x.denominator
+
+        def pdf50(model, x):
+            total = Decimal(0)
+            for w, part in model.parts if isinstance(model, Mixture) else ((1, model),):
+                if isinstance(part, Uniform):
+                    total += dec(w / (part.hi - part.lo)) if part.lo <= x < part.hi else 0
+                else:
+                    z = (dec(x) - dec(part.mean)) / dec(part.sigma)
+                    total += dec(Fraction(w)) * (-z * z / 2).exp() / (dec(part.sigma) * (2 * _PI50).sqrt())
+            return total
+
+        g = normal(Fraction(1, 3), Fraction(1, 4))
+        d = mixture((Fraction(1, 4), uniform(0, 1)), (Fraction(1, 4), g), (HALF, normal(-1, 2)))
+        width = Fraction(1, 2**level)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for q in (Fraction(-3, 2), Fraction(1, 5), Fraction(1, 3), Fraction(7, 10), Fraction(5, 2)):
+                lo = math.floor(q / width) * width
+                for model in (g, d):
+                    want = dec(width) * pdf50(model, lo + width / 2)
+                    p = float(sharp_probability(model, interval(lo, lo + width, True, False)))
+                    assert abs(Decimal(p) - want) <= Decimal("1e-12") * want, (level, q, model)
 
 
 class TestSetValue:
@@ -205,6 +237,93 @@ class TestFilterEffectValue:
         f = smear(parse("(0,1)"), box(1))
         base = neighborhood_base(10, 2)  # meets never leave (9.5, 10.5)... too wide
         assert filter_effect_value(base, f, 2, 1e-9) is UNDETERMINED
+
+
+def _squeeze_every_round(base, f, depth, tol):
+    """filter_effect_value as it was before rounds were skipped: the oracle."""
+    tol_f = float(tol)
+    lo_r, hi_r = f.range_bounds
+    if hi_r - lo_r < tol:
+        return (lo_r + hi_r) / 2
+    depth = max(min(depth, base.size), 1)
+    for k in doubling_depths(depth, 1):
+        m = base.truncated_meet(k)
+        if m.is_zero:
+            return UNDETERMINED
+        lo, hi = states.effect_range_on(f, m.rep, tail_eps=tol_f / 8.0)
+        if hi - lo < tol_f:
+            return 0.5 * (lo + hi)
+    return UNDETERMINED
+
+
+def _cls(text):
+    return project(parse(text))
+
+
+def _skip_bases():
+    """Name, base, and whether its first meet is bounded: rounds are skipped
+    only after a bounded first meet."""
+    lam = Fraction(1, 3)
+    nbhd = neighborhood_base(lam, 2**40)
+    return [
+        ("right half-line", adjoin(nbhd, _cls("(1/3, inf)"), 64), True),
+        ("left half-line", adjoin(nbhd, _cls("(-inf, 1/3)"), 64), True),
+        ("disjoint-family class", adjoin(nbhd, disjoint_family(lam, 2).truncated_class(64), 40), True),
+        ("bare neighbourhoods", neighborhood_base(Fraction(-7, 4), 2**40), True),
+        # the meets are zero from depth 1000 on
+        ("zero deep meets", adjoin(neighborhood_base(0, 2**40), _cls("(1/1000, 1)"), 64), True),
+        ("finite, nested", filter_base([_cls("(-2, 2)"), _cls("(0, 1)"), _cls("(1/2, 5/8)")]), True),
+        ("finite, zero meet", filter_base([_cls("(-4, 4)"), _cls("(0, 3)"), _cls("(5, 6)")]), True),
+        # the second round closes on the tail, and the third meet is bounded
+        ("finite, unbounded first", filter_base([_cls("(0, 1) | (10, inf)"), _cls("(10, inf)"), _cls("(10, 20)")]), False),
+        ("escaping right", escaping_base(2**40, 1), False),
+        ("escaping left", escaping_base(2**40, -1), False),
+    ]
+
+
+def _skip_effects():
+    draw = Draw(substream_seed(7, 23))
+    return [_random_effect(draw) for _ in range(6)] + [
+        smear(parse("(0,1)"), gaussian(Fraction(1, 50))),
+        constant(Fraction(3, 8)),
+    ]
+
+
+class TestSqueezeSkipsRounds:
+    """Skipping the rounds a squeeze's grid slack keeps open moves no value."""
+
+    @pytest.mark.parametrize("name, base, bounded", _skip_bases(), ids=[b[0] for b in _skip_bases()])
+    def test_equals_the_loop_over_every_round(self, monkeypatch, name, base, bounded):
+        calls = 0
+        real = states.effect_range_on
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(states, "effect_range_on", counted)
+        fewer = point_rounds = point_rounds_every = 0
+        for f in _skip_effects():
+            for tol in (1e-15, 1e-9, 1e-6, 1e-3):
+                for depth in (1, 7, 2**40):
+                    calls = 0
+                    expected = _squeeze_every_round(base, f, depth, tol)
+                    every, calls = calls, 0
+                    got = filter_effect_value(base, f, depth, tol)
+                    case = (f.describe(), tol, depth)
+                    if expected is UNDETERMINED:
+                        assert got is UNDETERMINED, case
+                    else:
+                        assert got == expected and type(got) is type(expected), case
+                    assert calls <= every, case
+                    fewer += calls < every
+                    if tol == 1e-9 and depth == 2**40:
+                        point_rounds += calls
+                        point_rounds_every += every
+        assert (fewer > 0) == bounded
+        if name.endswith("half-line"):  # the point squeezes of the benchmark
+            assert point_rounds < point_rounds_every / 2
 
 
 class TestStateLaws:

@@ -31,13 +31,17 @@ and above them, CDF arguments one ``nextafter`` step out, every float CDF
 value widened by ``_CDF_ERR``, a stated bound on its float error, and every
 inexact sum or product one step out.
 
-The certification helpers (orthogonality, ordering, vanishing at infinity)
-combine the exact bounds with one best-first branch and bound over
-enclosures, ``_certify_upper``: a panel whose enclosure settles the question
-is discharged, and any other is evaluated at its midpoint, which either
-refutes (and is the witness) or is bisected.  So a positive answer is always
-sound, and an inconclusive search raises
-:class:`~unsharp.errors.CannotCertify` instead of guessing.
+The certification helpers (orthogonality, vanishing at infinity) combine the
+exact bounds with one best-first branch and bound over enclosures,
+``_certify_upper``.  Ordering is orthogonality to the complement, f <= g
+exactly when f + (1 - g) <= 1, so :func:`leq` certifies through
+:func:`orthogonality`.  Smears through one detector, each possibly
+complemented (1 - smear(S) is smear(complement(S)) pointwise), are compared
+by their regions modulo null sets, which a smear ignores.  In the search, a
+panel whose enclosure settles the question is discharged, and any other is
+evaluated at its midpoint, which either refutes (and is the witness) or is
+bisected.  So a positive answer is always sound, and an inconclusive search
+raises :class:`~unsharp.errors.CannotCertify` instead of guessing.
 :func:`effect_range_on` still brackets by a Lipschitz grid, and
 :func:`range_stays_wide` reads that grid's slack to tell, without evaluating,
 when its bracket cannot be narrower than a given width.
@@ -63,7 +67,8 @@ from .common import (
     is_infinite,
 )
 from .errors import CannotCertify, NotOrthogonal, UnsharpError
-from .intervals import IntervalSet, intersect, is_subset
+from .intervals import IntervalSet, complement, intersect
+from .quotient import project
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_TAU = 1.0 / math.sqrt(2.0 * math.pi)
@@ -790,13 +795,29 @@ def _certify_upper(h, upper, c: float, windows, settled: bool, message: str):
     return None
 
 
+def _smear_parts(f: Effect):
+    """(density, region, complemented) when f is a smear, or the complement of
+    one, which is pointwise the smear of the complement region; else None."""
+    if isinstance(f, Complemented) and isinstance(f.inner, SmearedIndicator):
+        return f.inner.density, f.inner.region, True
+    if isinstance(f, SmearedIndicator):
+        return f.density, f.region, False
+    return None
+
+
 def orthogonality(f: Effect, g: Effect):
     """Certify sup(f + g) <= 1.  Returns None on success; raises
     :class:`NotOrthogonal` with a witness point when refuted and
-    :class:`CannotCertify` when the refinement budget runs out."""
-    if isinstance(f, SmearedIndicator) and isinstance(g, SmearedIndicator):
-        if f.density == g.density and intersect(f.region, g.region).is_empty:
-            return  # indicators of disjoint sets sum to at most one everywhere
+    :class:`CannotCertify` when the refinement budget runs out.
+
+    Two smears through one detector, each possibly complemented, are
+    orthogonal when their regions meet in a null set, since a smear ignores
+    null sets: smear(A) + smear(B) = smear(A | B) + smear(A & B) <= 1."""
+    fs, gs = _smear_parts(f), _smear_parts(g)
+    if fs and gs and fs[0] == gs[0]:
+        a, b = (complement(region) if co else region for _, region, co in (fs, gs))
+        if project(intersect(a, b)).is_zero:
+            return
     if isinstance(g, Complemented) and g.inner == f:
         return
     if isinstance(f, Complemented) and f.inner == g:
@@ -858,44 +879,21 @@ class LeqResult:
 
 
 def leq(f: Effect, g: Effect) -> LeqResult:
-    """Certify f <= g pointwise, or refute it with a witness point."""
-    if f == g:
-        return LeqResult(True, witness_effect=Constant(Fraction(0)))
+    """Certify f <= g pointwise, or refute it with a witness point.
+
+    In an effect algebra f <= g exactly when f is orthogonal to 1 - g, so the
+    certificate is :func:`orthogonality` of f and ``neg(g)`` (two smears
+    through one detector are thus compared by their regions modulo null
+    sets), and the gap g - f is the complement of their orthosum."""
     if isinstance(f, Scaled) and f.inner == g:
         # a*g <= g for nonnegative g; the gap is exactly (1-a)*g
         return LeqResult(True, witness_effect=Scaled(1 - f.factor, g))
-    if (
-        isinstance(f, SmearedIndicator)
-        and isinstance(g, SmearedIndicator)
-        and f.density == g.density
-        and is_subset(f.region, g.region)
-    ):
-        return LeqResult(True, witness_effect=_difference_effect(g, f))
-    if g.range_lo >= f.range_hi:
-        return LeqResult(True, witness_effect=_difference_effect(g, f))
-    if g.range_hi < f.range_lo:
-        return LeqResult(False, witness_point=0.0)
-
-    H = max(f.tail_radius(_TAIL_EPS), g.tail_radius(_TAIL_EPS), 1.0)
-    fo = f.outside_bounds(H)
-    go = g.outside_bounds(H)
-    for side, probe in ((0, -(H + 1.0)), (1, H + 1.0)):
-        if float(go[side][1]) - float(fo[side][0]) < 0.0:
-            if float(f.value_at(probe)) > float(g.value_at(probe)):
-                return LeqResult(False, witness_point=probe)
-    out_lo = min(
-        float(go[0][0]) - float(fo[0][1]),
-        float(go[1][0]) - float(fo[1][1]),
-    )
-
-    excess = lambda x: float(f.value_at(x)) - float(g.value_at(x))
-    upper = lambda x0, x1: _add_up(f.enclose(x0, x1)[1], -g.enclose(x0, x1)[0])
-    refuted = _certify_upper(
-        excess, upper, 0.0, ((-H, H),), out_lo >= 0.0,
-        "ordering certification exhausted its grid budget",
-    )
-    if refuted is not None:
-        return LeqResult(False, witness_point=refuted[0])
+    try:
+        orthogonality(f, neg(g))
+    except NotOrthogonal as exc:
+        return LeqResult(False, witness_point=exc.witness_point)
+    except CannotCertify as exc:
+        raise CannotCertify("ordering certification exhausted its grid budget") from exc
     return LeqResult(True, witness_effect=_difference_effect(g, f))
 
 
@@ -966,7 +964,7 @@ def range_stays_wide(f: Effect, region: IntervalSet, tol: float) -> bool:
     return _grid_slack(f.lipschitz, ga, gb, _RANGE_PTS) >= 2.0 * tol + 2.0 * _CLAMP_SLACK
 
 
-def effect_range_on(f: Effect, region: IntervalSet, tail_eps: float = 1e-12, pts: int = _RANGE_PTS):
+def effect_range_on(f: Effect, region: IntervalSet, tail_eps: float = 1e-12):
     """Certified bracket [lo, hi] around {f(q) : q in region} (closure).
 
     Bounded components are bracketed by a grid with Lipschitz slack;
@@ -1004,8 +1002,8 @@ def effect_range_on(f: Effect, region: IntervalSet, tail_eps: float = 1e-12, pts
         else:
             gb = float(b)
         if gb > ga:
-            vmin, _, vmax, _ = _grid_minmax(f.value_at, ga, gb, pts)
-            slack = _grid_slack(L, ga, gb, pts)
+            vmin, _, vmax, _ = _grid_minmax(f.value_at, ga, gb, _RANGE_PTS)
+            slack = _grid_slack(L, ga, gb, _RANGE_PTS)
             lo = min(lo, vmin - slack)
             hi = max(hi, vmax + slack)
         else:

@@ -85,17 +85,6 @@ class Interval:
     def is_singleton(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def is_bounded(self) -> bool:
-        return not (is_infinite(self.lo) or is_infinite(self.hi))
-
-    @property
-    def length(self):
-        """Exact length; ``inf`` when unbounded."""
-        if not self.is_bounded:
-            return POS_INF
-        return self.hi - self.lo
-
     def span(self):
         start = (self.lo, 0 if self.lo_closed else 1)
         end = (self.hi, 1 if self.hi_closed else 0)

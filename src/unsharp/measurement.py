@@ -25,6 +25,10 @@ from .quotient import project
 from .rng import unit_uniform
 from .states import eval_point, eval_sharp, filter_effect_value, ppf
 
+# depth to which the half-line extensions are checked for the finite meet
+# property and their sharp question is answered
+_FMP_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class PrecisionScheme:
@@ -209,7 +213,7 @@ class IndistinguishabilityReport:
 
 
 def indistinguishability_experiment(
-    lam, effects, depth: int, tol, fmp_depth: int = 64
+    lam, effects, depth: int, tol
 ) -> IndistinguishabilityReport:
     """Build the two half-line extensions of the neighborhood base at ``lam``
     and report (a) the sharp question they answer oppositely and (b) the
@@ -220,11 +224,11 @@ def indistinguishability_experiment(
     right = project(interval(lam, POS_INF))
     left = project(interval(NEG_INF, lam))
     base = neighborhood_base(lam, depth)
-    s_right = adjoin(base, right, fmp_depth)
-    s_left = adjoin(base, left, fmp_depth)
+    s_right = adjoin(base, right, _FMP_DEPTH)
+    s_left = adjoin(base, left, _FMP_DEPTH)
 
-    sharp_r = eval_sharp(s_right, right, fmp_depth)
-    sharp_l = eval_sharp(s_left, right, fmp_depth)
+    sharp_r = eval_sharp(s_right, right, _FMP_DEPTH)
+    sharp_l = eval_sharp(s_left, right, _FMP_DEPTH)
 
     rows = []
     for f in effects:

@@ -13,6 +13,8 @@ one against the other meaningful.
 
 from __future__ import annotations
 
+import math
+
 from .errors import QuadratureFailure
 
 # 10-point Gauss-Legendre nodes and weights on [-1, 1].
@@ -30,6 +32,8 @@ _GL10 = (
 )
 
 _MAX_DEPTH = 48
+# panel-count doublings gauss_legendre tries before it fails
+_MAX_DOUBLINGS = 16
 
 
 def _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
@@ -71,7 +75,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
 
 def adaptive_simpson_pieces(f, knots, tol: float) -> float:
     """Integrate across the sorted breakpoints in ``knots`` (length >= 2),
-    splitting the budget proportionally to panel width."""
+    splitting the budget proportionally to panel width; a share that
+    underflows to 0.0 is the smallest positive float instead."""
     knots = [float(k) for k in knots]
     total_width = knots[-1] - knots[0]
     if total_width <= 0:
@@ -79,7 +84,7 @@ def adaptive_simpson_pieces(f, knots, tol: float) -> float:
     value = 0.0
     for a, b in zip(knots, knots[1:]):
         if b > a:
-            value += adaptive_simpson(f, a, b, tol * (b - a) / total_width)
+            value += adaptive_simpson(f, a, b, tol * (b - a) / total_width or math.ulp(0.0))
     return value
 
 
@@ -100,7 +105,7 @@ def _gl_composite(f, knots, panels_per_piece):
     return total
 
 
-def gauss_legendre(f, knots, tol: float, max_doublings: int = 16) -> float:
+def gauss_legendre(f, knots, tol: float) -> float:
     """Composite 10-point Gauss-Legendre over the breakpoints in ``knots``,
     doubling panel counts until two refinements agree within ``tol``."""
     knots = [float(k) for k in knots]
@@ -110,7 +115,7 @@ def gauss_legendre(f, knots, tol: float, max_doublings: int = 16) -> float:
         raise ValueError("tolerance must be positive")
     panels = 1
     prev = _gl_composite(f, knots, panels)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         panels *= 2
         cur = _gl_composite(f, knots, panels)
         if abs(cur - prev) <= tol:

@@ -448,17 +448,26 @@ def _domain(d, tail_mass: float):
     return lo, hi
 
 
-def _pieces(d, f: Effect, lo: float, hi: float):
+def _piecewise(d, f: Effect, value, rule, tail_mass: float, tol: float) -> float:
+    """Integrate value(x) against the density of d over the window that leaves
+    out at most tail_mass, split at every model and effect knot inside it.
+    Each knot-free piece goes to ``rule(integrand, [a, b], share)`` with a
+    share of tol proportional to its width; a share that underflows to 0.0
+    is the smallest positive float instead."""
+    lo, hi = _domain(d, tail_mass)
     cuts = {lo, hi}
-    for p in model_knots(d):
+    for p in (*model_knots(d), *f.knots()):
         pf = float(p)
         if lo < pf < hi:
             cuts.add(pf)
-    for p in f.knots():
-        pf = float(p)
-        if lo < pf < hi:
-            cuts.add(pf)
-    return sorted(cuts)
+    cuts = sorted(cuts)
+    width = cuts[-1] - cuts[0]
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        w = _piece_weight(d, 0.5 * (a + b))
+        share = tol * (b - a) / width or math.ulp(0.0)
+        total += rule(lambda x, w=w: float(value(x)) * w(x), [a, b], share)
+    return total
 
 
 def eval_density(d, f: Effect, tol: float) -> float:
@@ -466,17 +475,7 @@ def eval_density(d, f: Effect, tol: float) -> float:
     panels split at every knot; truncation tails carry at most tol/10."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = _domain(d, tail_mass=tol / 10.0)
-    cuts = _pieces(d, f, lo, hi)
-    total = 0.0
-    width = cuts[-1] - cuts[0]
-    for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
-            continue
-        w = _piece_weight(d, 0.5 * (a + b))
-        integrand = lambda x, w=w: float(f.value_at(x)) * w(x)
-        total += adaptive_simpson_pieces(integrand, [a, b], tol * 0.8 * (b - a) / width)
-    return total
+    return _piecewise(d, f, f.value_at, adaptive_simpson_pieces, tol / 10.0, tol * 0.8)
 
 
 def mixture_expectation(d, f: Effect, tol: float) -> float:
@@ -485,21 +484,12 @@ def mixture_expectation(d, f: Effect, tol: float) -> float:
     (composite Gauss-Legendre, per-part truncation at tol/20)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    point_value = lambda lam: eval_point(lam, f)
     total = 0.0
     for w, comp in _as_parts(d):
-        if w == 0:
-            continue
-        wlo, whi = _domain(comp, tail_mass=float(tol) / 20.0)
-        cuts = _pieces(comp, f, wlo, whi)
-        pieces_total = 0.0
-        width = cuts[-1] - cuts[0]
-        for a, b in zip(cuts, cuts[1:]):
-            if b <= a:
-                continue
-            weight = _piece_weight(comp, 0.5 * (a + b))
-            integrand = lambda lam, weight=weight: float(eval_point(lam, f)) * weight(lam)
-            pieces_total += gauss_legendre(integrand, [a, b], tol * 0.4 * (b - a) / width)
-        total += float(w) * pieces_total
+        if w != 0:
+            part = _piecewise(comp, f, point_value, gauss_legendre, float(tol) / 20.0, tol * 0.4)
+            total += float(w) * part
     return total
 
 

@@ -547,7 +547,7 @@ RUNTIME_LIMITS = {
 }
 
 
-def run_suite(keys=None, cases: int | None = None, seed: int = DEFAULT_SEED, emit=print) -> int:
+def run_suite(keys=None, cases: int | None = None, seed: int = DEFAULT_SEED) -> int:
     """Run the named suites (all by default); one line per criterion; returns
     a process exit code (0 iff everything passed, runtime limits included)."""
     selected = dict(CRITERIA)
@@ -568,6 +568,6 @@ def run_suite(keys=None, cases: int | None = None, seed: int = DEFAULT_SEED, emi
         if result.ok and limit is not None and result.seconds > limit:
             result.ok = False
             result.detail += f"; exceeded {limit:.0f}s runtime limit"
-        emit(result.line())
+        print(result.line())
         failures += 0 if result.ok else 1
     return 0 if failures == 0 else 1

@@ -145,6 +145,18 @@ class TestStateCommand:
         code, _, err = run_capture(["state", "--state", state, "--effect", effect], capsys)
         assert code == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("width", ["1e-320", "1e-200"])
+    def test_subnormal_detector_width_is_a_quadrature_failure(self, capsys, width):
+        # every piece's share of tol underflows and is floored at the smallest
+        # positive float; Simpson then cannot resolve the detector's step at 1
+        # and fails typed, not with an internal tolerance error
+        code, _, err = run_capture(
+            ["state", "--state", "density:uniform(0,1)", "--effect", f"smear((0,1);box({width}))"],
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: adaptive Simpson did not reach tolerance on [0.9999999999999964, 1.0]\n"
+
 
 class TestSmearCommand:
     def test_csv_table(self, capsys):

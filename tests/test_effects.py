@@ -31,12 +31,14 @@ from unsharp.intervals import (
     difference,
     intersect,
     membership,
+    points,
+    symmetric_difference,
     union,
 )
 from unsharp.quadrature import adaptive_simpson
 from unsharp.setexpr import parse_set_expr as parse
 
-from strategies import interval_sets
+from strategies import interval_sets, rationals
 
 DENSITIES = [box(1), box(Fraction(1, 5)), triangle(Fraction(1, 2)), gaussian(Fraction(1, 5))]
 
@@ -288,15 +290,52 @@ class TestVanishing:
             vanishes_at_infinity(f, 0, 100)
 
 
-def test_touching_one_orthosum_default_budget():
-    # f + g is 1 on the whole ramp, so every enclosure there reaches above 1
-    # and no midpoint exceeds it: the default budget runs out, in well under
-    # a second
+def test_touching_one_pairs_certify():
+    # (0,2) and (0,1) | (1,2) differ by the point 1, so their smears are equal:
+    # the sum is 1 on the whole ramp, and the regions certify as classes
     f = smear(parse("(0,2)"), box(1))
-    g = neg(smear(parse("(0,1) | (1,2)"), box(1)))
+    g = smear(parse("(0,1) | (1,2)"), box(1))
+    total = oplus(f, neg(g))
+    assert all(float(evaluate(total, q)) <= 1.0 + 1e-12 for q in _grid())
+    r = leq(f, g)
+    assert r.holds
+    for q in _grid():
+        gap = float(evaluate(r.witness_effect, q))
+        assert abs(float(evaluate(f, q)) + gap - float(evaluate(g, q))) <= 1e-12
+
+
+def _equal_sum():
+    # g equals s pointwise, as an orthosum no shortcut reads as a smear
+    s = smear(parse("(0,2)"), box(1))
+    t = smear(parse("(0,1) | (1,2)"), box(1))
+    return s, oplus(scale(Fraction(1, 2), s), scale(Fraction(1, 2), t))
+
+
+def test_equal_sum_orthosum_default_budget():
+    # s + (1 - g) is 1 on the whole ramp, so every enclosure there reaches
+    # above 1 and no midpoint exceeds it: the default budget runs out, in
+    # under a second
+    s, g = _equal_sum()
     with pytest.raises(CannotCertify) as info:
-        oplus(f, g)
+        oplus(s, neg(g))
     assert str(info.value) == "orthogonality certification exhausted its grid budget"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    interval_sets(max_components=3),
+    st.lists(rationals, max_size=3),
+    st.sampled_from(DENSITIES),
+)
+def test_smears_meeting_in_points_certify(s, pts, density):
+    # a smear ignores null sets: regions that meet only in points are
+    # orthogonal, and regions equal up to points are ordered both ways
+    ends = [v for c in s.components for v in (c.lo, c.hi) if isinstance(v, Fraction)]
+    closed_complement = union(complement(s), points(*ends, *pts))
+    oplus(smear(s, density), smear(closed_complement, density))
+    moved = symmetric_difference(s, points(*pts))
+    assert leq(smear(s, density), smear(moved, density)).holds
+    assert leq(smear(moved, density), smear(s, density)).holds
 
 
 class TestCertifierBudget:
@@ -313,16 +352,14 @@ class TestCertifierBudget:
             call()
         return str(info.value)
 
-    def test_touching_one_orthosum(self):
-        f = smear(parse("(0,2)"), box(1))
-        g = neg(smear(parse("(0,1) | (1,2)"), box(1)))
-        message = self._message(lambda: oplus(f, g))
+    def test_equal_sum_orthosum(self):
+        s, g = _equal_sum()
+        message = self._message(lambda: oplus(s, neg(g)))
         assert message == "orthogonality certification exhausted its grid budget"
 
-    def test_equal_up_to_a_null_set_ordering(self):
-        f = smear(parse("(0,2)"), box(1))
-        g = smear(parse("(0,1) | (1,2)"), box(1))
-        message = self._message(lambda: leq(f, g))
+    def test_equal_sum_ordering(self):
+        s, g = _equal_sum()
+        message = self._message(lambda: leq(s, g))
         assert message == "ordering certification exhausted its grid budget"
 
     def test_plateau_at_tol_inside_the_rings(self):

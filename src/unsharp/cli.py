@@ -140,33 +140,25 @@ def cmd_construct(args, config) -> int:
     depth = int(resolve(args, config, "depth", 16))
     n_components = int(resolve(args, config, "components", 16))
     members = [disjoint_family(lam, m) for m in range(1, m_max + 1)]
+    # components n = 1..n_components of each member; a truncation lists them
+    # in increasing order, which is decreasing n
+    truncs = [fam.truncate(n_components) for fam in members]
 
     tables = []
-    for fam in members:
+    for fam, trunc in zip(members, truncs):
         tables.append(
             {
                 "m": fam.m,
                 "components": [
-                    {
-                        "n": n,
-                        "lo": fraction_str(fam.component(n).lo),
-                        "hi": fraction_str(fam.component(n).hi),
-                    }
-                    for n in range(1, n_components + 1)
+                    {"n": n, "lo": fraction_str(c.lo), "hi": fraction_str(c.hi)}
+                    for n, c in enumerate(reversed(trunc.components), 1)
                 ],
             }
         )
-    disjoint = []
-    for i, fi in enumerate(members):
-        row = []
-        for j, fj in enumerate(members):
-            if i == j:
-                row.append(None)
-            else:
-                row.append(
-                    intersect(fi.truncate(n_components), fj.truncate(n_components)).is_empty
-                )
-        disjoint.append(row)
+    disjoint = [
+        [None if i == j else intersect(ti, tj).is_empty for j, tj in enumerate(truncs)]
+        for i, ti in enumerate(truncs)
+    ]
     # a truncation must reach indices ~log2(depth) before its components fall
     # inside the deepest neighborhood checked
     trunc_count = max(n_components, depth.bit_length() + 2)

@@ -797,7 +797,10 @@ def _certify_upper(h, upper, c: float, windows, settled: bool, message: str):
 
 def _smear_parts(f: Effect):
     """(density, region, complemented) when f is a smear, or the complement of
-    one, which is pointwise the smear of the complement region; else None."""
+    one, which is pointwise the smear of the complement region; else None.
+    A multiple a*h with 0 < a <= 1 reads as h, which bounds it from above."""
+    if isinstance(f, Scaled):
+        f = f.inner
     if isinstance(f, Complemented) and isinstance(f.inner, SmearedIndicator):
         return f.inner.density, f.inner.region, True
     if isinstance(f, SmearedIndicator):
@@ -812,7 +815,8 @@ def orthogonality(f: Effect, g: Effect):
 
     Two smears through one detector, each possibly complemented, are
     orthogonal when their regions meet in a null set, since a smear ignores
-    null sets: smear(A) + smear(B) = smear(A | B) + smear(A & B) <= 1."""
+    null sets: smear(A) + smear(B) = smear(A | B) + smear(A & B) <= 1.  Either
+    may also be scaled by a factor a in (0, 1], since a*h <= h."""
     fs, gs = _smear_parts(f), _smear_parts(g)
     if fs and gs and fs[0] == gs[0]:
         a, b = (complement(region) if co else region for _, region, co in (fs, gs))

@@ -8,8 +8,18 @@ at astronomically large depths stay O(1): for a nested chain the meet of the
 first k elements is the k-th element.
 
 Finitely many classes may be adjoined to the backbone; they participate in
-every truncated meet.  Nothing here ever totalizes a base into an ultrafilter:
-certification is finite and explicit by design.
+every truncated meet.  Their meet is folded once per base and kept on it.
+Nothing here ever totalizes a base into an ultrafilter: certification is
+finite and explicit by design.
+
+A base keeps the last :class:`FmpCertificate` that :func:`has_fmp` computed
+for it, so the certificate :func:`adjoin` makes for the base it returns is
+handed back when the caller asks for the same depth.  Both caches live
+outside the dataclass fields: :func:`dataclasses.replace` and a further
+:func:`adjoin` build bases without them.  Every backbone family is nested
+(the meet of its first k elements shrinks with k), so :func:`has_fmp` meets
+each deeper backbone truncation with the previous meet, a smaller set than
+the adjoined meet, and gets the same classes.
 """
 
 from __future__ import annotations
@@ -19,8 +29,10 @@ from fractions import Fraction
 
 from .common import DIVERGENT, NEG_INF, POS_INF, UNDETERMINED, as_fraction, is_infinite
 from .errors import FmpViolation, ZeroClassError
-from .intervals import Interval, IntervalSet, _view
-from .quotient import UNIT, QuotientClass, project, q_meet
+from .intervals import Interval, IntervalSet, _make, _view
+from .quotient import UNIT, QuotientClass, _class, project, q_meet
+
+_OPEN = b"\x01\x00"  # the offsets of one open component
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +79,11 @@ class NeighborhoodFamily:
         if self.size < 1:
             raise ValueError("family size must be at least 1")
 
-    def interval_at(self, n: int) -> Interval:
+    def element(self, n: int) -> QuotientClass:
         if not 1 <= n <= self.size:
             raise IndexError(f"element index {n} out of range 1..{self.size}")
         r = Fraction(1, n)
-        return Interval(self.center - r, self.center + r)
-
-    def element(self, n: int) -> QuotientClass:
-        return QuotientClass(IntervalSet((self.interval_at(n),)))
+        return _class(_make((self.center - r, self.center + r), _OPEN, None))
 
     def meet_first(self, k: int) -> QuotientClass:
         # nested: the k-th element already is the meet of the first k
@@ -98,15 +107,12 @@ class TailFamily:
         if self.direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
 
-    def interval_at(self, n: int) -> Interval:
+    def element(self, n: int) -> QuotientClass:
         if not 1 <= n <= self.size:
             raise IndexError(f"element index {n} out of range 1..{self.size}")
         if self.direction == 1:
-            return Interval(Fraction(n), POS_INF)
-        return Interval(NEG_INF, Fraction(-n))
-
-    def element(self, n: int) -> QuotientClass:
-        return QuotientClass(IntervalSet((self.interval_at(n),)))
+            return _class(_make((Fraction(n), POS_INF), _OPEN, None))
+        return _class(_make((NEG_INF, Fraction(-n)), _OPEN, None))
 
     def meet_first(self, k: int) -> QuotientClass:
         return self.element(min(max(k, 1), self.size))
@@ -128,7 +134,9 @@ class FilterBase:
     ``family`` is the backbone (finite or generated chain); ``adjoined``
     classes are extra elements included in every truncated meet.
     ``certified_depth`` is the largest k at which finite meets were verified
-    nonzero; ``tag`` is an optional convergence target.
+    nonzero; ``tag`` is an optional convergence target.  The adjoined meet and
+    the last certificate of :func:`has_fmp` are cached in the instance
+    ``__dict__``, never in a field.
     """
 
     family: object
@@ -141,9 +149,13 @@ class FilterBase:
         return self.family.size + len(self.adjoined)
 
     def adjoined_meet(self) -> QuotientClass:
-        acc = UNIT
-        for c in self.adjoined:
-            acc = q_meet(acc, c)
+        """Meet of the adjoined classes, folded on the first call only."""
+        acc = self.__dict__.get("_adjoined_meet")
+        if acc is None:
+            acc = UNIT
+            for c in self.adjoined:
+                acc = q_meet(acc, c)
+            object.__setattr__(self, "_adjoined_meet", acc)
         return acc
 
     def truncated_meet(self, k: int) -> QuotientClass:
@@ -234,20 +246,37 @@ def has_fmp(base: FilterBase, k: int) -> FmpCertificate:
     nonzero meet of all adjoined classes with the depth-k backbone truncation
     certifies every sub-meet drawn from those elements.  Witnesses are
     reported per truncation depth (all depths up to 256, then geometrically).
+    The backbone truncations are nested, so each one is met with the previous
+    meet rather than with the adjoined meet alone; the classes are the same.
+
+    The certificate is kept on the base, and a second call at the same
+    ``min(k, base.size)`` returns it: the certificate :func:`adjoin` computed
+    for the base it returned is handed back, not recomputed.  Nothing read
+    here (family, adjoined classes) can change on a frozen base.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     k = min(k, base.size)
-    acc = UNIT
-    for i, c in enumerate(base.adjoined):
-        acc = q_meet(acc, c)
-        if acc.is_zero:
-            offender = ", ".join(str(x) for x in base.adjoined[: i + 1])
-            return FmpCertificate(False, k, offender=f"meet of adjoined {{{offender}}} is zero")
+    cert = base.__dict__.get("_fmp")
+    if cert is None or cert.depth != k:
+        cert = _check_fmp(base, k)
+        object.__setattr__(base, "_fmp", cert)
+    return cert
+
+
+def _check_fmp(base: FilterBase, k: int) -> FmpCertificate:
+    acc = base.adjoined_meet()
+    if acc.is_zero:
+        prefix = UNIT
+        for i, c in enumerate(base.adjoined):
+            prefix = q_meet(prefix, c)
+            if prefix.is_zero:
+                offender = ", ".join(str(x) for x in base.adjoined[: i + 1])
+                return FmpCertificate(False, k, offender=f"meet of adjoined {{{offender}}} is zero")
     witnesses = []
-    chain_k = min(k, base.family.size)
-    for depth in doubling_depths(chain_k, 256):
-        m = q_meet(base.family.meet_first(depth), acc)
+    m = acc
+    for depth in doubling_depths(min(k, base.family.size), 256):
+        m = q_meet(base.family.meet_first(depth), m)
         if m.is_zero:
             return FmpCertificate(
                 False,
@@ -265,16 +294,21 @@ def has_fmp(base: FilterBase, k: int) -> FmpCertificate:
 def adjoin(base: FilterBase, x: QuotientClass, k: int | None = None) -> FilterBase:
     """Extend a base by one class, re-certifying the finite meet property at
     depth ``k`` (default: the base's current certified depth).  Raises
-    :class:`FmpViolation` carrying the offending meet otherwise."""
+    :class:`FmpViolation` carrying the offending meet otherwise.
+
+    The returned base keeps the certificate, so ``has_fmp(result, k)``
+    returns it without a second check.  ``has_fmp`` never reads
+    ``certified_depth``, so certifying the result is certifying the
+    candidate."""
     if x.is_zero:
         raise FmpViolation("cannot adjoin the zero class", offenders=(x,))
     if k is None:
         k = max(base.certified_depth, 1)
-    candidate = replace(base, adjoined=base.adjoined + (x,))
-    cert = has_fmp(candidate, k)
+    result = replace(base, adjoined=base.adjoined + (x,), certified_depth=k)
+    cert = has_fmp(result, k)
     if not cert.ok:
         raise FmpViolation(cert.offender or "finite meet property fails", offenders=(x,))
-    return replace(candidate, certified_depth=k)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +338,20 @@ class DisjointFamily:
         if self.m < 1:
             raise ValueError("family index m must be at least 1")
 
+    def _ends(self, ns) -> list:
+        """The endpoints lo, hi, lo, hi, ... of the components n in ``ns``."""
+        lo_mult = 1 + Fraction(1, 2 ** (self.m + 1))
+        hi_mult = 1 + Fraction(1, 2**self.m)
+        vals = []
+        for n in ns:
+            scale = Fraction(1, 2**n)
+            vals += (self.center + scale * lo_mult, self.center + scale * hi_mult)
+        return vals
+
     def component(self, n: int) -> Interval:
         if n < 1:
             raise IndexError("component index starts at 1")
-        scale = Fraction(1, 2**n)
-        lo = self.center + scale * (1 + Fraction(1, 2 ** (self.m + 1)))
-        hi = self.center + scale * (1 + Fraction(1, 2**self.m))
-        return Interval(lo, hi)
+        return Interval(*self._ends((n,)))
 
     def envelope(self, n: int) -> Interval:
         """Dyadic band certified to contain component n."""
@@ -319,8 +360,15 @@ class DisjointFamily:
         return Interval(self.center + Fraction(1, 2**n), self.center + Fraction(1, 2 ** (n - 1)))
 
     def truncate(self, count: int) -> IntervalSet:
-        """The union of components 1..count as a concrete interval set."""
-        return IntervalSet.from_intervals(self.component(n) for n in range(1, count + 1))
+        """The union of components 1..count as a concrete interval set.
+
+        Its cut sequence is written directly, components n = count..1 in
+        that order, with no validation: component n lies strictly inside
+        the band (center + 2^-n, center + 2^-(n-1)), and the bands are
+        disjoint and ordered by n, so the components come out sorted, open,
+        and separated by gaps of positive length, which is the canonical
+        form (open-canonical, too)."""
+        return _make(tuple(self._ends(range(count, 0, -1))), _OPEN * max(count, 0), None)
 
     def truncated_class(self, count: int) -> QuotientClass:
         return project(self.truncate(count))

@@ -71,8 +71,12 @@ def project(s: IntervalSet) -> QuotientClass:
         else:
             out += (lo, hi)
             out_keys += (keys[k], keys[k + 1])
-    rep = _make(tuple(out), b"\x01\x00" * (len(out) // 2), tuple(out_keys))
-    x = object.__new__(QuotientClass)  # open-canonical by construction
+    return _class(_make(tuple(out), b"\x01\x00" * (len(out) // 2), tuple(out_keys)))
+
+
+def _class(rep: IntervalSet) -> QuotientClass:
+    """Trusted constructor: ``rep`` must already be open-canonical."""
+    x = object.__new__(QuotientClass)
     object.__setattr__(x, "rep", rep)
     return x
 

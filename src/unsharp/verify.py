@@ -236,11 +236,10 @@ def disjoint_family_construction(seed: int = DEFAULT_SEED) -> CriterionResult:
                 env = fam.envelope(n)
                 if not (env.lo < comp.lo and comp.hi < env.hi):
                     return False, f"component (m={fam.m}, n={n}) escapes its dyadic band"
+        truncs = [fam.truncate(64) for fam in members]
         for i in range(10):
             for j in range(i + 1, 10):
-                a = members[i].truncate(64)
-                b = members[j].truncate(64)
-                if not intersect(a, b).is_empty:
+                if not intersect(truncs[i], truncs[j]).is_empty:
                     return False, f"members m={i+1}, m={j+1} overlap"
         for fam in members:
             left = fam.component(64).lo

@@ -2,6 +2,7 @@
 algebra, ordering, scaling, and tail behavior."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,28 @@ def test_touching_one_pairs_certify():
     for q in _grid():
         gap = float(evaluate(r.witness_effect, q))
         assert abs(float(evaluate(f, q)) + gap - float(evaluate(g, q))) <= 1e-12
+
+
+@pytest.mark.parametrize("region", ["(0,2)", "(0,1) | (5,6)"])
+def test_scaled_subset_smear_certifies_at_once(region):
+    # a*smear(A) <= smear(A) <= smear(B) for A inside B and 0 < a <= 1.  Left
+    # of -1/2 both sides vanish, so f + (1 - g) is exactly 1 there and a
+    # search can neither refute nor discharge: only the region shortcut decides
+    f = scale(Fraction(1, 2), smear(parse("(0,1)"), box(1)))
+    g = smear(parse(region), box(1))
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        r = leq(f, g)
+        best = min(best, time.perf_counter() - start)
+    assert r.holds and best < 1e-3
+    for q in _grid():
+        gap = float(evaluate(r.witness_effect, q))
+        assert abs(float(evaluate(f, q)) + gap - float(evaluate(g, q))) <= 1e-12
+    # the shortcut only bounds from above: a scaled smear of a larger region
+    # is still refuted by the search
+    big = scale(Fraction(1, 2), smear(parse("(0,3)"), box(1)))
+    assert not leq(big, smear(parse("(0,1)"), box(1))).holds
 
 
 def _equal_sum():

@@ -1,15 +1,21 @@
 """Filter bases: certification, the half-line ambiguity, witnesses, the
 disjoint approach family, and convergence analysis."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unsharp.common import DIVERGENT, UNDETERMINED
+from unsharp import filters
+from unsharp.common import DIVERGENT, NEG_INF, POS_INF, UNDETERMINED
 from unsharp.errors import FmpViolation, ZeroClassError
 from unsharp.filters import (
+    FilterBase,
     FiniteFamily,
     NeighborhoodFamily,
+    TailFamily,
     adjoin,
     converges_to,
     disjoint_family,
@@ -19,9 +25,11 @@ from unsharp.filters import (
     has_fmp,
     neighborhood_base,
 )
-from unsharp.intervals import intersect, interval, measure, points
-from unsharp.quotient import ZERO, project, q_meet
+from unsharp.intervals import Interval, IntervalSet, intersect, interval, measure, points
+from unsharp.quotient import ZERO, QuotientClass, project, q_meet
 from unsharp.setexpr import parse_set_expr as parse
+
+from strategies import rationals
 
 
 class TestNeighborhoodBase:
@@ -99,6 +107,104 @@ class TestAdjoin:
     def test_certified_depth_recorded(self):
         base = adjoin(neighborhood_base(0, 40), project(parse("(0,inf)")), 40)
         assert base.certified_depth == 40
+
+
+class TestCertificateHandBack:
+    """adjoin keeps the certificate it computed on the base it returns, and
+    has_fmp hands it back at the same depth; nothing else carries it."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = filters._check_fmp
+        monkeypatch.setattr(filters, "_check_fmp", lambda base, k: calls.append(k) or check(base, k))
+        return calls
+
+    def test_adjoin_certificate_equals_fresh_check(self, checks):
+        base = adjoin(neighborhood_base(Fraction(1, 3), 300), project(parse("(1/3, 1)")), 300)
+        assert checks == [300]
+        cert = has_fmp(base, 300)
+        assert checks == [300] and cert is has_fmp(base, 300)
+        direct = FilterBase(base.family, base.adjoined, base.certified_depth, base.tag)
+        assert direct == base
+        fresh = has_fmp(direct, 300)
+        assert checks == [300, 300]
+        assert cert.ok and cert == fresh and cert.witnesses == fresh.witnesses
+        assert len(cert.witnesses) == 257 and str(cert.witnesses[-1][1]) == "(1/3, 101/300)"
+
+    def test_depth_is_capped_at_the_base_size(self, checks):
+        base = adjoin(neighborhood_base(0, 40), project(parse("(0,inf)")), 100)
+        assert has_fmp(base, 41) is has_fmp(base, 10**6)  # size 41: 40 + 1 adjoined
+        assert checks == [41]
+
+    def test_other_depth_recomputes(self, checks):
+        base = adjoin(neighborhood_base(0, 40), project(parse("(0,inf)")), 40)
+        cert = has_fmp(base, 13)
+        assert checks == [40, 13]
+        assert cert.depth == 13 and len(cert.witnesses) == 13
+        assert cert == has_fmp(FilterBase(base.family, base.adjoined), 13)
+
+    def test_replace_and_adjoin_carry_no_certificate(self, checks):
+        base = adjoin(neighborhood_base(0, 16), project(parse("(0,inf)")), 16)
+        cert = has_fmp(base, 16)
+        assert has_fmp(replace(base, tag=Fraction(0)), 16) == cert
+        assert checks == [16, 16]
+        # a replaced base with other adjoined classes is checked afresh
+        far = replace(base, adjoined=(project(parse("(5,6)")),))
+        assert not has_fmp(far, 16).ok
+        assert far.truncated_meet(1).is_zero
+        deeper = adjoin(base, project(parse("(-inf, 1/100)")), 16)
+        again = has_fmp(deeper, 16)
+        assert again != cert
+        assert str(again.witnesses[0][1]) == "(0, 1/100)"
+        assert again == has_fmp(FilterBase(deeper.family, deeper.adjoined), 16)
+
+    def test_truncated_meet_uses_adjoined_classes(self):
+        base = adjoin(neighborhood_base(0, 16), project(parse("(0,inf)")), 16)
+        base = adjoin(base, project(parse("(-inf, 1/8)")), 16)
+        assert base.truncated_meet(2) == project(parse("(0, 1/8)"))
+        assert base.truncated_meet(16) == project(parse("(0, 1/16)"))
+        assert replace(base, adjoined=()).truncated_meet(16) == project(parse("(-1/16, 1/16)"))
+
+
+class TestTrustedConstruction:
+    """Chain elements and disjoint-family truncations, built without
+    validation, equal their validated constructions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rationals, st.integers(min_value=1, max_value=2**40), st.data())
+    def test_neighborhood_element(self, center, size, data):
+        n = data.draw(st.integers(min_value=1, max_value=size))
+        r = Fraction(1, n)
+        got = NeighborhoodFamily(center, size).element(n)
+        assert got == QuotientClass(IntervalSet((Interval(center - r, center + r),)))
+        assert all(type(v) is Fraction for v in got.rep._vals)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=2**40), st.sampled_from((1, -1)), st.data())
+    def test_tail_element(self, size, direction, data):
+        n = data.draw(st.integers(min_value=1, max_value=size))
+        got = TailFamily(size, direction).element(n)
+        want = Interval(n, POS_INF) if direction == 1 else Interval(NEG_INF, -n)
+        assert got == QuotientClass(IntervalSet((want,)))
+        assert type(got.rep._vals[0 if direction == 1 else 1]) is Fraction
+
+    @settings(max_examples=100, deadline=None)
+    @given(rationals, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=40))
+    def test_disjoint_truncation(self, center, m, count):
+        fam = disjoint_family(center, m)
+        got = fam.truncate(count)
+        assert got == IntervalSet.from_intervals(fam.component(n) for n in range(1, count + 1))
+        assert project(got).rep == got  # already open-canonical
+
+    def test_element_index_checked(self):
+        for family in (NeighborhoodFamily(0, 5), TailFamily(5), TailFamily(5, -1)):
+            for n in (0, 6):
+                with pytest.raises(IndexError):
+                    family.element(n)
+
+    def test_empty_truncation(self):
+        assert disjoint_family(0, 3).truncate(0).is_empty
 
 
 class TestDoublingDepths:

@@ -22,7 +22,7 @@ from .errors import UnsharpError
 from .filters import adjoin, neighborhood_base
 from .intervals import IntervalSet, interval, membership
 from .quotient import project
-from .rng import unit_uniform
+from .rng import uniforms, unit_uniform
 from .states import eval_point, eval_sharp, filter_effect_value, ppf
 
 # depth to which the half-line extensions are checked for the finite meet
@@ -73,10 +73,12 @@ def _float_cell(q: float, n: int, unit: int) -> int:
 
 def sample(d, count: int, seed: int) -> list:
     """Draw ``count`` values by inverse-CDF transform of the seeded uniform
-    stream; identical arguments give identical output."""
+    stream: draw i is ``ppf(d, unit_uniform(seed, i))``, with the uniforms
+    read a block at a time by :func:`unsharp.rng.uniforms` and ``ppf``
+    called once per draw.  Identical arguments give identical output."""
     if count < 1:
         raise ValueError("need at least one draw")
-    return [ppf(d, unit_uniform(seed, i)) for i in range(count)]
+    return [ppf(d, u) for u in uniforms(seed, count)]
 
 
 @dataclass(frozen=True)

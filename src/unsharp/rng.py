@@ -1,12 +1,15 @@
 """Deterministic counter-based random stream (SplitMix64).
 
-Every simulation in this package draws its randomness through
-:func:`unit_uniform`, which maps ``(seed, index)`` to a float in the open
-interval (0, 1) by applying the SplitMix64 finalizer to
+The ``index``-th uniform of the stream for ``seed`` is a float in the open
+interval (0, 1), made by applying the SplitMix64 finalizer to
 ``seed + (index + 1) * GAMMA`` (all arithmetic modulo 2**64) and scaling the
-top 53 bits.  The generator is fixed across versions: identical seeds give
-bit-identical streams, and sampling parallelizes by partitioning the index
-range because draw i never depends on draw i-1.
+top 53 bits.  :func:`unit_uniform` reads one such draw and is the scalar
+reference; :func:`uniforms` reads the first ``count`` draws a block at a
+time, equal to :func:`unit_uniform` on every index, and is what
+:func:`unsharp.measurement.sample` draws from.  The generator is fixed across
+versions: identical seeds give bit-identical streams, and sampling
+parallelizes by partitioning the index range because draw i never depends on
+draw i-1.
 
 Words are computed in blocks of 256 consecutive indices by a packed-integer
 kernel: the block's 256 counters sit in 128-bit lanes of one Python int, so
@@ -85,6 +88,18 @@ def unit_uniform(seed: int, index: int) -> float:
     # (2**53 - 1) + 0.5 is a tie that rounds to 2**53, so the one word whose
     # top 53 bits are all ones would give 1.0; every other word is unchanged
     return u if u < 1.0 else _BELOW_ONE
+
+
+def uniforms(seed: int, count: int) -> list:
+    """``[unit_uniform(seed, i) for i in range(count)]``, each block's words
+    mapped in one pass; the blocks are computed afresh and the cache that
+    :func:`stream_word` keeps is left alone."""
+    us = []
+    for start in range(0, count, _BLOCK):
+        us += [((w >> 11) + 0.5) * 2.0**-53 for w in _block_words(seed, start)[: count - start]]
+    if 1.0 in us:  # the all-ones word; see unit_uniform
+        us = [u if u < 1.0 else _BELOW_ONE for u in us]
+    return us
 
 
 def substream_seed(seed: int, stream: int) -> int:

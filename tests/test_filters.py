@@ -14,6 +14,7 @@ from unsharp.errors import FmpViolation, ZeroClassError
 from unsharp.filters import (
     FilterBase,
     FiniteFamily,
+    FmpCertificate,
     NeighborhoodFamily,
     TailFamily,
     adjoin,
@@ -26,7 +27,7 @@ from unsharp.filters import (
     neighborhood_base,
 )
 from unsharp.intervals import Interval, IntervalSet, intersect, interval, measure, points
-from unsharp.quotient import ZERO, QuotientClass, project, q_meet
+from unsharp.quotient import UNIT, ZERO, QuotientClass, project, q_meet
 from unsharp.setexpr import parse_set_expr as parse
 
 from strategies import rationals
@@ -165,6 +166,62 @@ class TestCertificateHandBack:
         assert base.truncated_meet(2) == project(parse("(0, 1/8)"))
         assert base.truncated_meet(16) == project(parse("(0, 1/16)"))
         assert replace(base, adjoined=()).truncated_meet(16) == project(parse("(-1/16, 1/16)"))
+
+
+class TestLinearCheck:
+    """An explicit backbone is folded once across all checked depths; the
+    certificate equals the one a from-scratch fold at each depth gives."""
+
+    @staticmethod
+    def _scratch(base, k):
+        witnesses = []
+        for depth in doubling_depths(min(k, base.family.size), 256):
+            m = UNIT
+            for c in base.adjoined + base.family.classes[:depth]:
+                m = q_meet(m, c)
+            if m.is_zero:
+                offender = ", ".join(str(x) for x in base.adjoined)
+                text = f"meet of the first {depth} backbone elements with {{{offender}}} is zero"
+                return FmpCertificate(False, k, tuple(witnesses), text)
+            witnesses.append((depth, m.rep.components[0]))
+        return FmpCertificate(True, k, tuple(witnesses))
+
+    @pytest.fixture
+    def meets(self, monkeypatch):
+        calls = []
+        meet = filters.q_meet
+        monkeypatch.setattr(filters, "q_meet", lambda a, b: calls.append(1) or meet(a, b))
+        return calls
+
+    @pytest.mark.parametrize("n", [50, 200, 300])
+    def test_meets_linear_in_the_classes(self, meets, n):
+        base = filter_base([project(interval(Fraction(-1, j), Fraction(1, j))) for j in range(1, n + 1)])
+        cert = has_fmp(base, n)
+        assert len(meets) <= 2 * n + 2
+        assert cert.ok and cert == self._scratch(base, n)
+        assert len(cert.witnesses) == len(doubling_depths(n, 256))
+
+    def test_zero_meet_partway_names_the_depth(self, meets):
+        wide, far = project(parse("(0,10)")), project(parse("(20,30)"))
+        base = filter_base([wide] * 5 + [far] + [project(parse("(0,1)"))] * 300)
+        cert = has_fmp(base, 306)
+        assert len(meets) == 6  # the fold stops at the zero meet
+        assert not cert.ok and cert == self._scratch(base, 306)
+        assert cert.offender == "meet of the first 6 backbone elements with {} is zero"
+        assert len(cert.witnesses) == 5
+
+    def test_zero_meet_with_adjoined_classes(self):
+        base = adjoin(filter_base([project(parse("(0,10)"))] * 3), project(parse("(2,9)")), 3)
+        base = replace(base, family=FiniteFamily(base.family.classes + (project(parse("(9,12)")),)))
+        for k in (3, 4, 5):
+            assert has_fmp(base, k) == self._scratch(base, k)
+        assert not has_fmp(base, 5).ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 8)), min_size=1, max_size=300))
+    def test_equals_scratch_fold(self, spans):
+        base = filter_base([project(interval(Fraction(a, 2), Fraction(a + b, 2))) for a, b in spans])
+        assert has_fmp(base, len(spans)) == self._scratch(base, len(spans))
 
 
 class TestTrustedConstruction:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from unsharp import measurement
 from unsharp.effects import constant, evaluate, gaussian, smear
 from unsharp.intervals import interval
 from unsharp.measurement import (
@@ -18,7 +19,7 @@ from unsharp.measurement import (
 )
 from unsharp.rng import unit_uniform
 from unsharp.setexpr import parse_set_expr as parse
-from unsharp.states import normal, ppf, sharp_probability, uniform
+from unsharp.states import mixture, normal, ppf, sharp_probability, uniform
 
 
 class TestDyadicCell:
@@ -75,6 +76,21 @@ class TestSample:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             sample(uniform(0, 1), 0, 1)
+
+    @pytest.mark.parametrize("count", [1, 40, 257, 2000])
+    @pytest.mark.parametrize("model", ["uniform", "normal", "mixture"])
+    def test_one_ppf_call_per_draw(self, monkeypatch, count, model):
+        half = Fraction(1, 2)
+        d = {
+            "uniform": uniform(-1, 3),
+            "normal": normal(1, 2),
+            "mixture": mixture((half, uniform(-1, 1)), (half, normal(0, 1))),
+        }[model]
+        calls = []
+        monkeypatch.setattr(measurement, "ppf", lambda d, u: calls.append(u) or ppf(d, u))
+        draws = sample(d, count, 77)
+        assert calls == [unit_uniform(77, i) for i in range(count)]
+        assert draws == [ppf(d, u) for u in calls]
 
 
 class TestRunProtocol:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from unsharp import rng
-from unsharp.rng import GAMMA, splitmix64, stream_word, substream_seed, unit_uniform
+from unsharp.rng import GAMMA, splitmix64, stream_word, substream_seed, uniforms, unit_uniform
 from unsharp.states import mixture, normal, ppf, uniform
 
 
@@ -120,3 +120,31 @@ def test_two_threads_drawing_different_seeds():
     assert not any(t.is_alive() for t in threads)
     assert sorted(done) == sorted(seeds)
     assert mismatches == []
+
+
+# ---------------------------------------------------------------------------
+# the block reader against the scalar reference
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -7])
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 513])
+def test_block_reader_equals_scalar_reads(seed, count):
+    assert uniforms(seed, count) == [unit_uniform(seed, i) for i in range(count)]
+
+
+def test_block_reader_leaves_the_scalar_cache_alone():
+    unit_uniform(5, 300)
+    cached = rng._last
+    uniforms(9, 700)
+    assert rng._last is cached
+
+
+def test_all_ones_word_stays_below_one_on_the_block_path(monkeypatch):
+    def words(seed, start):
+        return tuple(2**64 - 1 if start + i in (3, 300) else i << 20 for i in range(rng._BLOCK))
+
+    monkeypatch.setattr(rng, "_block_words", words)
+    us = uniforms(0, 400)
+    assert len(us) == 400 and all(0.0 < u < 1.0 for u in us)
+    assert us[3] == us[300] == math.nextafter(1.0, 0.0)
+    assert us[4] == ((4 << 20 >> 11) + 0.5) * 2.0**-53

@@ -6,14 +6,18 @@ arithmetic gives, down to the int 0 or 1 and the exact Fraction some branches
 return; a rational query must give the exact value.  ``float_identity.json``
 holds the float results at points on every knot, at the knots' float
 neighbours, between the knots and far outside, and the exact results (the
-``*_exact`` sections) at every knot, between the knots and far outside.
-Record it again with ``PYTHONPATH=src python tests/test_float_identity.py``
-only when a change is meant to move a result.
+``*_exact`` sections) at every knot, between the knots and far outside.  It
+also pins each model's draws (``ppf``), sharp probabilities on wide cells and
+on one cell narrower than 2^-20 sigma, support and knots, and both quadrature
+routes for effect and model pairs.  Record it again with
+``PYTHONPATH=src python tests/test_float_identity.py --record`` only when a
+change is meant to move a result.
 """
 
 import json
 import math
 import pickle
+import sys
 from pathlib import Path
 
 from fractions import Fraction
@@ -22,7 +26,20 @@ import pytest
 
 from unsharp.cli import parse_effect_spec, parse_model_spec
 from unsharp.effects import evaluate
-from unsharp.states import Mixture, cdf, model_knots, pdf, uniform
+from unsharp.intervals import interval
+from unsharp.setexpr import parse_set_expr
+from unsharp.states import (
+    Mixture,
+    cdf,
+    eval_density,
+    mixture_expectation,
+    model_knots,
+    pdf,
+    ppf,
+    sharp_probability,
+    support,
+    uniform,
+)
 
 TABLE = Path(__file__).with_name("float_identity.json")
 
@@ -53,6 +70,17 @@ MODELS = [
     "mix(1/4*uniform(0, 1); 3/4*uniform(1/3, 5/2))",
     "mix(1/2*gaussian(-1, 1/3); 1/2*gaussian(1, 1/10))",
 ]
+
+#: u at both extremes of ``unit_uniform``, deep in a tail, and at the quartiles
+_US = (2.0**-53, 1e-9, 0.25, 0.5, 0.75, 1.0 - 2.0**-53)
+
+#: wide cells, and one cell narrower than 2^-20 sigma of every normal part
+_CELLS = [parse_set_expr(t) for t in ("(-inf, 0)", "[0, 1/2)", "(1/3, 7/10]", "[1/2, inf)", "(-1, -1/3) | (1/10, 1)")]
+_CELLS.append(interval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**30), True, False))
+
+#: each model with effects over every detector kind, unions, scaling,
+#: complement and orthosums, by both quadrature routes at tol 1e-9
+PAIRS = [f"{e} in {m}" for m in MODELS for e in (EFFECTS[i] for i in (1, 4, 6, 7, 12, 14, 15))]
 
 _FAR = (math.inf, -math.inf, 1e6, -1e6, 0.0, -0.0)
 
@@ -100,7 +128,35 @@ def _record():
         table["pdf"][spec] = [_pin(x, pdf(d, x)) for x in pts]
         pts = [-math.inf] + _exact_points(model_knots(d)) + [math.inf]
         table["cdf_exact"][spec] = [_pin(x, cdf(d, x)) for x in pts]
+    table.update(ppf={}, sharp_probability={}, support={}, eval_density={}, mixture_expectation={})
+    for spec in MODELS:
+        d = parse_model_spec(spec)
+        table["ppf"][spec] = _ppf_rows(d)
+        table["sharp_probability"][spec] = _sharp_rows(d)
+        table["support"][spec] = _support_rows(d)
+    for pair in PAIRS:
+        f, d = _pair(pair)
+        table["eval_density"][pair] = [_pin(1e-9, eval_density(d, f, 1e-9))]
+        table["mixture_expectation"][pair] = [_pin(1e-9, mixture_expectation(d, f, 1e-9))]
     return table
+
+
+def _ppf_rows(d):
+    return [_pin(u, ppf(d, u)) for u in _US]
+
+
+def _sharp_rows(d):
+    return [_pin(str(s), sharp_probability(d, s)) for s in _CELLS]
+
+
+def _support_rows(d):
+    """The support, then every model knot in increasing order."""
+    return [_pin("support", str(support(d)))] + [_pin("knot", k) for k in sorted(model_knots(d))]
+
+
+def _pair(pair):
+    effect, model = pair.split(" in ")
+    return parse_effect_spec(effect), parse_model_spec(model)
 
 
 def _dump(table):
@@ -126,6 +182,9 @@ def test_table_covers_every_case(table):
     assert list(table["cdf"]) == MODELS and list(table["pdf"]) == MODELS
     assert list(table["value_at_exact"]) == EFFECTS and list(table["evaluate_exact"]) == EFFECTS
     assert list(table["cdf_exact"]) == MODELS
+    assert list(table["ppf"]) == MODELS and list(table["sharp_probability"]) == MODELS
+    assert list(table["support"]) == MODELS
+    assert list(table["eval_density"]) == PAIRS and list(table["mixture_expectation"]) == PAIRS
 
 
 @pytest.mark.parametrize("spec", EFFECTS)
@@ -159,6 +218,21 @@ def test_exact_cdf(table, spec):
     assert [_pin(x, cdf(d, x)) for x in pts] == table["cdf_exact"][spec]
 
 
+@pytest.mark.parametrize("spec", MODELS)
+def test_ppf_sharp_probability_and_support(table, spec):
+    d = parse_model_spec(spec)
+    assert _ppf_rows(d) == table["ppf"][spec]
+    assert _sharp_rows(d) == table["sharp_probability"][spec]
+    assert _support_rows(d) == table["support"][spec]
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_both_quadrature_routes(table, pair):
+    f, d = _pair(pair)
+    assert [_pin(1e-9, eval_density(d, f, 1e-9))] == table["eval_density"][pair]
+    assert [_pin(1e-9, mixture_expectation(d, f, 1e-9))] == table["mixture_expectation"][pair]
+
+
 def test_parameters_beyond_float_range():
     # the exact comparisons still decide; the float conversions still raise.
     # The model grammar rejects such a parameter, so the model is built directly.
@@ -190,5 +264,21 @@ def test_pickles_after_float_queries():
     assert after == before
 
 
+@pytest.mark.parametrize("spec", MODELS[:3])
+def test_single_part_models_pickle_after_queries(spec):
+    # a bare uniform or normal model keeps its float caches out of the pickle
+    d = parse_model_spec(spec)
+
+    def reads(m):
+        return [_pin(x, cdf(m, x)) for x in (0.5, Fraction(1, 2))] + [_pin(u, ppf(m, u)) for u in _US]
+
+    before = reads(d)
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and not any(k.startswith(("_float", "_exact")) for k in vars(copy))
+    assert reads(copy) == before
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --record  (rewrites {TABLE.name})")
     TABLE.write_text(_dump(_record()))

@@ -88,9 +88,7 @@ from .quotient import (
 from .setexpr import parse_set_expr
 from .states import (
     Mixture,
-    Normal,
     StateHandle,
-    Uniform,
     density_state,
     escaping_state,
     eval_density,

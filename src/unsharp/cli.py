@@ -259,7 +259,7 @@ def cmd_simulate(args, config) -> int:
         if 0.0 < p < 1.0:
             max_sigma = max(max_sigma, abs(freq - p) / math.sqrt(p * (1 - p) / count))
     summary = {
-        "density": model.describe(),
+        "density": model.model_text(),
         "level": level,
         "n": count,
         "seed": seed,

@@ -5,7 +5,8 @@ Smearing an indicator with a confidence density is a convolution, evaluated
 in closed form per interval component as a difference of the density's CDF.
 Box and triangle CDFs are piecewise polynomials with rational coefficients,
 so evaluation at a rational point is exact; the Gaussian CDF goes through
-``math.erf`` (absolute error well below 1e-14).
+``math.erf`` (absolute error well below 1e-14).  Detectors are centred; the
+density models of :mod:`unsharp.states` place the box and Gaussian anywhere.
 
 Each node and density writes its evaluator once, as a closure builder
 ``_build(low)`` that takes a lowering from :mod:`unsharp.common`.  Under
@@ -84,6 +85,8 @@ _CLAMP_SLACK = 1e-12
 # argument x / sigma / sqrt(2) (at most about 3 units of 2**-53 in all).  The
 # margin also absorbs the rounding of the widening itself.
 _CDF_ERR = 2.0**-48
+# Gaussian model parts take sharp_probability's pdf route below this times sigma
+_NARROW = 2.0**-20
 
 
 def _add_down(a, b):
@@ -104,7 +107,10 @@ def _add_up(a, b):
 
 
 class _Density(FloatClosures):
-    """Base of the detector densities; ``_build(low)`` makes the CDF closure."""
+    """Base of the confidence densities; ``_build(low)`` makes the CDF closure.
+    As model parts, box and Gaussian densities also give their mixture CDF
+    term, window at k sigma, weighted pdf, piece constant, weighted upper
+    tail, closed-form ppf and model spelling."""
 
     @cached_property
     def _cdf_err(self):
@@ -133,19 +139,22 @@ class _Density(FloatClosures):
 
 @dataclass(frozen=True)
 class BoxDensity(_Density):
-    """Uniform density on (-width/2, width/2); total mass 1."""
+    """Uniform density on (lo, hi); total mass 1."""
 
-    width: Fraction
+    lo: Fraction
+    hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "width", as_fraction(self.width))
-        # the float CDF divides by the width, which must not round to 0.0
-        if self.width <= 0 or self.width < 1 and not float(self.width):
-            raise ValueError("width must be positive as a float")
+        object.__setattr__(self, "lo", as_fraction(self.lo))
+        object.__setattr__(self, "hi", as_fraction(self.hi))
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
 
     @property
     def mass_radius(self) -> Fraction:
-        return self.width / 2
+        return max(-self.lo, self.hi)
 
     @property
     def _smallest_parameter(self) -> Fraction:
@@ -155,26 +164,51 @@ class BoxDensity(_Density):
     def peak(self) -> Fraction:
         return 1 / self.width
 
+    def _cdf_term(self, low):
+        """The knots as compared and the operands of (x - lo) / width."""
+        return low.below(self.lo), low.above(self.hi), low.num(self.lo), low.num(self.width)
+
     def _build(self, low):
-        h = self.width / 2
-        left, right = low.below(-h), low.above(h)
-        h, w = low.num(h), low.num(self.width)
+        left, right, lo, w = self._cdf_term(low)
 
         def cdf(x):
             if x <= left:
                 return 0
             if x >= right:
                 return 1
-            return (x + h) / w
+            return (x - lo) / w
 
         return cdf
 
     def knots(self):
-        h = self.width / 2
-        return (-h, h)
+        return (self.lo, self.hi)
+
+    def window(self, k: float):
+        return float(self.lo), float(self.hi)
+
+    def _weighted_pdf(self, w):
+        c, lo, hi = float(w / self.width), float(self.lo), float(self.hi)
+        return lambda x: c if lo <= x <= hi else 0.0
+
+    def _piece_constant(self, w, mid: float):
+        return float(w / self.width) if float(self.lo) < mid < float(self.hi) else 0.0
+
+    def _weighted_tail(self, w: float):
+        lo, hi = float(self.lo), float(self.hi)
+        return lambda x: 0.0 if x >= hi else w if x <= lo else w * ((hi - x) / (hi - lo))
+
+    @cached_property
+    def _float_ppf(self):
+        lo, hi = float(self.lo), float(self.hi)
+        return lambda u: lo + (hi - lo) * u
+
+    _narrow_width = 0.0
 
     def describe(self) -> str:
         return f"box({self.width})"
+
+    def model_text(self) -> str:
+        return f"uniform({self.lo}, {self.hi})"
 
 
 @dataclass(frozen=True)
@@ -228,11 +262,14 @@ class TriangleDensity(_Density):
 
 @dataclass(frozen=True)
 class GaussianDensity(_Density):
-    """Gaussian density with standard deviation sigma (evaluated in floats)."""
+    """Gaussian density with standard deviation sigma about mean (evaluated in
+    floats)."""
 
     sigma: Fraction
+    mean: Fraction = Fraction(0)
 
     def __post_init__(self):
+        object.__setattr__(self, "mean", as_fraction(self.mean))
         object.__setattr__(self, "sigma", as_fraction(self.sigma))
         # the CDF is computed in floats, where sigma must not round to 0.0
         if self.sigma <= 0 or self.sigma < 1 and not float(self.sigma):
@@ -250,10 +287,14 @@ class GaussianDensity(_Density):
     def peak(self) -> float:
         return _INV_SQRT_TAU / float(self.sigma) * _UP
 
+    def _cdf_term(self, low):
+        # no knots; a Fraction x less a float is float(x): floats under both lowerings
+        return None, None, float(self.mean), float(self.sigma)
+
     def _build(self, low):
-        # a Fraction x divides by a float as float(x): both lowerings compute in floats
-        s, erf = float(self.sigma), math.erf
-        return lambda x: 0.5 * (1.0 + erf(x / s / _SQRT2))
+        _, _, m, s = self._cdf_term(low)
+        erf = math.erf
+        return lambda x: 0.5 * (1.0 + erf((x - m) / s / _SQRT2))
 
     def upper_tail(self, t) -> float:
         z = float(t) / float(self.sigma)
@@ -269,12 +310,43 @@ class GaussianDensity(_Density):
     def knots(self):
         return ()
 
+    def window(self, k: float):
+        m, s = float(self.mean), float(self.sigma)
+        return m - k * s, m + k * s
+
+    def _weighted_pdf(self, w):
+        w, m, s = float(w), float(self.mean), float(self.sigma)
+        norm = s * math.sqrt(2 * math.pi)
+        return lambda x: w * math.exp(-0.5 * (z := (x - m) / s) * z) / norm
+
+    def _piece_constant(self, w, mid: float):
+        return None
+
+    def _weighted_tail(self, w: float):
+        m, s = float(self.mean), float(self.sigma) * _SQRT2
+        return lambda x: w * 0.5 * math.erfc((x - m) / s)
+
+    @cached_property
+    def _float_ppf(self):
+        return NormalDist(float(self.mean), float(self.sigma)).inv_cdf
+
+    @cached_property
+    def _narrow_width(self) -> float:
+        return _NARROW * float(self.sigma)
+
     def describe(self) -> str:
         return f"gaussian({self.sigma})"
 
+    def model_text(self) -> str:
+        return f"gaussian({self.mean}, {self.sigma})"
+
 
 def box(width) -> BoxDensity:
-    return BoxDensity(as_fraction(width))
+    w = as_fraction(width)
+    # the float CDF divides by the width, which must not round to 0.0
+    if w <= 0 or w < 1 and not float(w):
+        raise ValueError("width must be positive as a float")
+    return BoxDensity(-w / 2, w / 2)
 
 
 def triangle(half_width) -> TriangleDensity:

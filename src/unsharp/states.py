@@ -15,16 +15,19 @@ truncated meets at doubling depths.  It skips, unevaluated, the leading rounds
 whose grid slack alone keeps the bracket at least tol wide; no such round can
 close, so no value moves.
 
-Each model writes its CDF once, as a closure builder ``_build(low)`` over the
-lowerings of :mod:`unsharp.common`.  :func:`cdf` reads a rational point
+A density model is a detector's box (``uniform(lo, hi)``) or Gaussian
+(``normal(mean, sigma)``) density, or a :class:`Mixture` of them; each shape
+answers by method what a model asks of it, and a bare part reads as its
+one-part Mixture.  The Mixture's CDF is a closure builder ``_build(low)`` over
+the lowerings of :mod:`unsharp.common`.  :func:`cdf` reads a rational point
 through the ``EXACT`` closure, so it is exact for uniform-only models, and a
-finite float point through the ``FLOAT`` closure, which gives bit for bit what
-the ``EXACT`` closure would give it.
+finite float point through the ``FLOAT`` closure, which gives bit for bit
+what the ``EXACT`` closure would give it.
 
 Every model caches its inverse CDF for :func:`ppf` as ``_float_ppf``: a closed
-form for ``Uniform`` and ``Normal``.  A ``Mixture`` caches a table of CDF values
-at 64 equal cells over its ``_bracket`` and at its uniform knots, built on the
-first draw; each draw finds its cell by ``bisect`` and narrows it by
+form for a bare box or Gaussian part.  A ``Mixture`` caches a table of CDF
+values at 64 equal cells over its ``_bracket`` and at its box knots, built on
+the first draw; each draw finds its cell by ``bisect`` and narrows it by
 Chandrupatla's method.  Every CDF value, table entries included, comes from
 :func:`cdf`.  A u above the table's last value, which the float CDF never
 reaches, inverts the upper tail instead.
@@ -47,7 +50,7 @@ from .common import (
     as_fraction,
     is_infinite,
 )
-from .effects import Effect, effect_range_on, evaluate, range_stays_wide
+from .effects import BoxDensity, Effect, GaussianDensity, effect_range_on, evaluate, range_stays_wide
 from .filters import FilterBase, doubling_depths, escaping_base
 from .intervals import Interval, IntervalSet, REALS
 from .quadrature import adaptive_simpson_pieces, gauss_legendre
@@ -55,9 +58,6 @@ from .quotient import QuotientClass, point_membership_state, q_leq, q_not
 
 _STD_NORMAL = NormalDist()
 _SQRT2 = math.sqrt(2.0)
-# a component narrower than this times a normal part's sigma takes the pdf
-# route in sharp_probability
-_NARROW = 2.0**-20
 _ZERO = Fraction(0)
 
 
@@ -65,23 +65,30 @@ _ZERO = Fraction(0)
 # density models
 
 
-class _Model(FloatClosures):
-    @cached_property
-    def _narrow_width(self) -> float:
-        """Components narrower than this take the pdf route in
-        :func:`sharp_probability` for some normal part; 0.0 without one."""
-        return _NARROW * max((float(p.sigma) for _, p in _as_parts(self) if isinstance(p, Normal)), default=0.0)
+@dataclass(frozen=True)
+class Mixture(FloatClosures):
+    """Finite convex mixture of box and Gaussian densities; weights are exact
+    and sum to one."""
+
+    parts: tuple
+
+    def __post_init__(self):
+        parts = tuple((as_fraction(w), comp) for w, comp in self.parts)
+        object.__setattr__(self, "parts", parts)
+        if not parts:
+            raise ValueError("mixture needs at least one part")
+        for w, comp in parts:
+            if w < 0:
+                raise ValueError("mixture weights must be nonnegative")
+            if not hasattr(comp, "model_text"):
+                raise TypeError("mixture parts must be uniform or normal models")
+        if sum(w for w, _ in parts) != 1:
+            raise ValueError("mixture weights must sum to exactly 1")
 
     def _build(self, low):
-        """The CDF at finite x.  Normal parts compute in floats under both
-        lowerings; uniform parts compare x with their ends through the
-        lowering's knots."""
-        terms = [
-            (w, low.num(w), low.below(c.lo), low.above(c.hi), low.num(c.lo), low.num(c.hi - c.lo))
-            if isinstance(c, Uniform)
-            else (w, low.num(w), None, None, float(c.mean), float(c.sigma))
-            for w, c in _as_parts(self)
-        ]
+        """The CDF at finite x: one flat loop over the parts' ``_cdf_term``
+        tuples, with each shape's formula written inline."""
+        terms = [(w, low.num(w), *c._cdf_term(low)) for w, c in self.parts]
         erf = math.erf
 
         def cdf(x):
@@ -100,69 +107,6 @@ class _Model(FloatClosures):
             return total
 
         return cdf
-
-
-@dataclass(frozen=True)
-class Uniform(_Model):
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if not self.lo < self.hi:
-            raise ValueError("uniform model needs lo < hi")
-        # the CDF divides by hi - lo in floats, where it must not round to 0.0
-        if self.hi - self.lo < 1 and not float(self.hi - self.lo):
-            raise ValueError("uniform model needs hi - lo positive as a float")
-
-    @cached_property
-    def _float_ppf(self):
-        lo, hi = float(self.lo), float(self.hi)
-        return lambda u: lo + (hi - lo) * u
-
-    def describe(self) -> str:
-        return f"uniform({self.lo}, {self.hi})"
-
-
-@dataclass(frozen=True)
-class Normal(_Model):
-    mean: Fraction
-    sigma: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", as_fraction(self.mean))
-        object.__setattr__(self, "sigma", as_fraction(self.sigma))
-        # the CDF is computed in floats, where sigma must not round to 0.0
-        if self.sigma <= 0 or self.sigma < 1 and not float(self.sigma):
-            raise ValueError("sigma must be positive as a float")
-
-    @cached_property
-    def _float_ppf(self):
-        return NormalDist(float(self.mean), float(self.sigma)).inv_cdf
-
-    def describe(self) -> str:
-        return f"gaussian({self.mean}, {self.sigma})"
-
-
-@dataclass(frozen=True)
-class Mixture(_Model):
-    """Finite convex mixture; weights are exact and sum to one."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple((as_fraction(w), comp) for w, comp in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not parts:
-            raise ValueError("mixture needs at least one part")
-        for w, comp in parts:
-            if w < 0:
-                raise ValueError("mixture weights must be nonnegative")
-            if not isinstance(comp, (Uniform, Normal)):
-                raise TypeError("mixture parts must be Uniform or Normal models")
-        if sum(w for w, _ in parts) != 1:
-            raise ValueError("mixture weights must sum to exactly 1")
 
     @cached_property
     def _float_ppf(self):
@@ -185,39 +129,46 @@ class Mixture(_Model):
 
         return draw
 
-    def describe(self) -> str:
-        inner = "; ".join(f"{w}*{comp.describe()}" for w, comp in self.parts)
+    def model_text(self) -> str:
+        inner = "; ".join(f"{w}*{comp.model_text()}" for w, comp in self.parts)
         return f"mix({inner})"
 
-
-def uniform(lo, hi) -> Uniform:
-    return Uniform(as_fraction(lo), as_fraction(hi))
+    describe = model_text
 
 
-def normal(mean, sigma) -> Normal:
-    return Normal(as_fraction(mean), as_fraction(sigma))
+def uniform(lo, hi) -> BoxDensity:
+    lo, hi = as_fraction(lo), as_fraction(hi)
+    if not lo < hi:
+        raise ValueError("uniform model needs lo < hi")
+    # the CDF divides by hi - lo in floats, where it must not round to 0.0
+    if hi - lo < 1 and not float(hi - lo):
+        raise ValueError("uniform model needs hi - lo positive as a float")
+    return BoxDensity(lo, hi)
+
+
+def normal(mean, sigma) -> GaussianDensity:
+    return GaussianDensity(mean=as_fraction(mean), sigma=as_fraction(sigma))
 
 
 def mixture(*parts) -> Mixture:
     return Mixture(tuple(parts))
 
 
-def _as_parts(d):
+def _as_mixture(d) -> Mixture:
+    """A Mixture as it is; a bare part as its one-part Mixture, built once and
+    kept on the part under a ``_float`` key, which pickles leave out."""
     if isinstance(d, Mixture):
-        return d.parts
-    return ((Fraction(1), d),)
+        return d
+    if (m := vars(d).get("_float_mixture")) is None:
+        m = vars(d)["_float_mixture"] = Mixture(((1, d),))
+    return m
 
 
 def pdf(d, x) -> float:
     total = 0.0
     xf = float(x)
-    for w, comp in _as_parts(d):
-        if isinstance(comp, Uniform):
-            if float(comp.lo) <= xf <= float(comp.hi):
-                total += float(w / (comp.hi - comp.lo))
-        else:
-            z = (xf - float(comp.mean)) / float(comp.sigma)
-            total += float(w) * math.exp(-0.5 * z * z) / (float(comp.sigma) * math.sqrt(2 * math.pi))
+    for w, comp in _as_mixture(d).parts:
+        total += comp._weighted_pdf(w)(xf)
     return total
 
 
@@ -225,7 +176,9 @@ def cdf(d, x):
     """Distribution function; exact rational when every part is uniform and
     x is exact, float otherwise, and exactly 0 or 1 at -inf or inf.  A float x
     is read through the model's FLOAT closure, any other x through its EXACT
-    one."""
+    one.  A bare part answers through its one-part Mixture."""
+    if d.__class__ is not Mixture:  # inline: a mixture draw makes about five calls
+        d = _as_mixture(d)
     if x.__class__ is float:
         if math.isinf(x):
             return Fraction(1 if x > 0 else 0)
@@ -234,8 +187,8 @@ def cdf(d, x):
 
 
 def ppf(d, u: float) -> float:
-    """Inverse distribution function: closed form for uniform and normal
-    models; for a mixture, the midpoint of a bracket [a, b] with
+    """Inverse distribution function: closed form for a bare box or Gaussian
+    part; for a mixture, the midpoint of a bracket [a, b] with
     ``cdf(a) < u <= cdf(b)`` narrowed to width 1e-12, or to adjacent floats
     where one ulp exceeds 1e-12."""
     if not 0.0 < u < 1.0:
@@ -290,22 +243,14 @@ def _upper_tail(d, u, xs):
     """ppf for a u above the last CDF value of the table over ``xs``.  There
     the float CDF has stopped short of u (seven float weights 1/7 sum to
     1 - 2**-52), so solve the upper tail ``sum w * Q(x) = 1 - u`` instead,
-    with Q from :func:`math.erfc` for normal parts and linear on uniform
+    with Q from :func:`math.erfc` for Gaussian parts and linear on box
     parts."""
-    terms = [
-        (float(w), True, float(c.lo), float(c.hi))
-        if isinstance(c, Uniform)
-        else (float(w), False, float(c.mean), float(c.sigma) * _SQRT2)
-        for w, c in d.parts
-    ]
+    tails = [c._weighted_tail(float(w)) for w, c in d.parts]
 
     def minus_tail(x):
         total = 0.0
-        for w, flat, a, b in terms:
-            if not flat:
-                total += w * 0.5 * math.erfc((x - a) / b)
-            elif x < b:
-                total += w if x <= a else w * ((b - x) / (b - a))
+        for tail in tails:
+            total += tail(x)
         return -total
 
     # 1 - u is exact for u > 1/2, and the tail at xs[-1], past every part's
@@ -321,16 +266,10 @@ def _upper_tail(d, u, xs):
 
 def _bracket(d, u: float):
     """``(lo, cdf(lo), hi, cdf(hi))`` with cdf(lo) < u < cdf(hi): the parts'
-    ranges (uniform ends, normal means +- 10 sigma), widened while needed."""
-    lo = math.inf
-    hi = -math.inf
-    for _, comp in _as_parts(d):
-        if isinstance(comp, Uniform):
-            lo = min(lo, float(comp.lo))
-            hi = max(hi, float(comp.hi))
-        else:
-            lo = min(lo, float(comp.mean) - 10.0 * float(comp.sigma))
-            hi = max(hi, float(comp.mean) + 10.0 * float(comp.sigma))
+    windows at 10 sigma (box ends, Gaussian means +- 10 sigma), widened while
+    needed."""
+    windows = [comp.window(10.0) for _, comp in _as_mixture(d).parts]
+    lo, hi = min(a for a, _ in windows), max(b for _, b in windows)
     # a step of at least one ulp moves an end that 1.0 cannot move
     while (cdf_lo := float(cdf(d, lo))) >= u:
         lo -= max(1.0, hi - lo, math.ulp(lo))
@@ -343,23 +282,19 @@ def support(d) -> IntervalSet:
     """Closed support: the smallest closed set of full probability.  It is the
     set a density state assigns to the position question as a whole (the
     literal intersection of all probability-one sets is empty, since
-    co-singletons qualify)."""
+    co-singletons qualify).  Parts of weight 0 carry no probability; a part
+    spans the hull of its knots, and a part without knots the whole line."""
     pieces = []
-    for _, comp in _as_parts(d):
-        if isinstance(comp, Uniform):
-            pieces.append(Interval(comp.lo, comp.hi, True, True))
-        else:
-            return REALS
+    for w, comp in _as_mixture(d).parts:
+        if w:
+            if not (ks := comp.knots()):
+                return REALS
+            pieces.append(Interval(ks[0], ks[-1], True, True))
     return IntervalSet.from_intervals(pieces)
 
 
 def model_knots(d):
-    pts = set()
-    for _, comp in _as_parts(d):
-        if isinstance(comp, Uniform):
-            pts.add(comp.lo)
-            pts.add(comp.hi)
-    return pts
+    return {k for _, comp in _as_mixture(d).parts for k in comp.knots()}
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +305,19 @@ def sharp_probability(d, s: IntervalSet):
     """Probability that the sharp value lies in s: summed CDF differences.
     Exact for uniform-only models; null sets get probability zero.
 
-    On a component narrower than 2^-20 sigma of a normal part, that part's
+    On a component narrower than 2^-20 sigma of a Gaussian part, that part's
     mass is two-point Gauss-Legendre of its pdf instead: there the difference
     of two float CDF values keeps few digits, and none once the component is
     narrower than the CDF's ulp."""
-    cut = d._narrow_width
+    d = _as_mixture(d)
+    cut = max(p._narrow_width for _, p in d.parts)
     total = 0
     for c in s.components:
         lo = NEG_INF if is_infinite(c.lo) else c.lo
         hi = POS_INF if is_infinite(c.hi) else c.hi
         if cut and (width := float(hi) - float(lo)) < cut:
-            for w, part in _as_parts(d):
-                if isinstance(part, Normal) and width < _NARROW * float(part.sigma):
+            for w, part in d.parts:
+                if width < part._narrow_width:
                     total = total + float(w) * _gauss_legendre_2(part, lo, hi)
                 else:
                     total = total + w * (cdf(part, hi) - cdf(part, lo))
@@ -391,7 +327,7 @@ def sharp_probability(d, s: IntervalSet):
 
 
 def _gauss_legendre_2(part, lo, hi) -> float:
-    """Two-point Gauss-Legendre of a normal part's pdf over [lo, hi]; its
+    """Two-point Gauss-Legendre of a Gaussian part's pdf over [lo, hi]; its
     relative error is of order ((hi - lo) / sigma)^4."""
     half = float(hi - lo) / 2.0
     mid = float((lo + hi) / 2)
@@ -407,24 +343,23 @@ def eval_point(lam, f: Effect):
 def _piece_weight(d, mid: float):
     """Density restricted to a knot-free piece as a smooth callable.
 
-    Uniform parts are branch-selected once by the piece midpoint, so the
+    Box parts are branch-selected once by the piece midpoint, so the
     returned function is smooth on the whole closed piece."""
     const = 0.0
-    gauss = []
-    for w, comp in _as_parts(d):
-        if isinstance(comp, Uniform):
-            if float(comp.lo) < mid < float(comp.hi):
-                const += float(w / (comp.hi - comp.lo))
+    smooth = []
+    for w, comp in _as_mixture(d).parts:
+        c = comp._piece_constant(w, mid)
+        if c is None:
+            smooth.append(comp._weighted_pdf(w))
         else:
-            gauss.append((float(w), float(comp.mean), float(comp.sigma)))
-    if not gauss:
+            const += c
+    if not smooth:
         return lambda x: const
 
     def weight(x: float) -> float:
         total = const
-        for w, mu, sig in gauss:
-            z = (x - mu) / sig
-            total += w * math.exp(-0.5 * z * z) / (sig * math.sqrt(2 * math.pi))
+        for part in smooth:
+            total += part(x)
         return total
 
     return weight
@@ -432,20 +367,13 @@ def _piece_weight(d, mid: float):
 
 def _domain(d, tail_mass: float):
     """Truncation window covering all probability except at most tail_mass."""
-    lo = math.inf
-    hi = -math.inf
-    parts = _as_parts(d)
+    parts = _as_mixture(d).parts
     budget = tail_mass / len(parts)
+    windows = []
     for w, comp in parts:
-        if isinstance(comp, Uniform):
-            lo = min(lo, float(comp.lo))
-            hi = max(hi, float(comp.hi))
-        else:
-            share = budget / float(w) if w > 0 else 0.5
-            z = -_STD_NORMAL.inv_cdf(min(max(share / 2, 1e-300), 0.5))
-            lo = min(lo, float(comp.mean) - z * float(comp.sigma))
-            hi = max(hi, float(comp.mean) + z * float(comp.sigma))
-    return lo, hi
+        share = budget / float(w) if w > 0 else 0.5
+        windows.append(comp.window(-_STD_NORMAL.inv_cdf(min(max(share / 2, 1e-300), 0.5))))
+    return min(a for a, _ in windows), max(b for _, b in windows)
 
 
 def _piecewise(d, f: Effect, value, rule, tail_mass: float, tol: float) -> float:
@@ -486,7 +414,7 @@ def mixture_expectation(d, f: Effect, tol: float) -> float:
         raise ValueError("tol must be positive")
     point_value = lambda lam: eval_point(lam, f)
     total = 0.0
-    for w, comp in _as_parts(d):
+    for w, comp in _as_mixture(d).parts:
         if w != 0:
             part = _piecewise(comp, f, point_value, gauss_legendre, float(tol) / 20.0, tol * 0.4)
             total += float(w) * part
@@ -528,7 +456,7 @@ class StateHandle:
         if self.kind in ("point", "escaping"):
             return f"{self.kind}({self.payload})" if self.kind == "point" else "escaping"
         if self.kind == "density":
-            return self.payload.describe()
+            return self.payload.model_text()
         return f"sharp[{self.payload.describe()}]"
 
 

@@ -389,7 +389,7 @@ def mixture_decomposition(seed: int = DEFAULT_SEED) -> CriterionResult:
                 dev = abs(direct - decomposed)
                 worst = max(worst, dev)
                 if dev > 2 * tol:
-                    return False, f"routes disagree by {dev:.3e} on {d.describe()}"
+                    return False, f"routes disagree by {dev:.3e} on {d.model_text()}"
         return True, f"5 densities x 10 effects, worst gap {worst:.2e} <= 2e-8"
 
     return _timed("mixture-decomposition", "Ignorance decomposition matches direct expectation", body)

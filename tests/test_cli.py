@@ -10,7 +10,7 @@ from unsharp.cli import build_parser, parse_effect_spec, parse_model_spec, run
 from unsharp.common import DEFAULT_SEED
 from unsharp.effects import constant, gaussian, smear
 from unsharp.setexpr import parse_set_expr
-from unsharp.states import Mixture, Normal, Uniform
+from unsharp.states import Mixture, normal, uniform
 
 
 def run_capture(argv, capsys):
@@ -30,8 +30,8 @@ class TestSpecParsers:
         assert float(g.value_at(0)) == pytest.approx(0.75)
 
     def test_model_specs(self):
-        assert parse_model_spec("uniform(0, 1)") == Uniform(0, 1)
-        assert parse_model_spec("gaussian(0, 1)") == Normal(0, 1)
+        assert parse_model_spec("uniform(0, 1)") == uniform(0, 1)
+        assert parse_model_spec("gaussian(0, 1)") == normal(0, 1)
         m = parse_model_spec("mix(1/2*uniform(0,1); 1/2*gaussian(0,1))")
         assert isinstance(m, Mixture) and len(m.parts) == 2
 

@@ -1,6 +1,7 @@
 """Both text languages pinned: every set expression and spec in
 ``spec_table.json`` parses to the recorded canonical form or ``describe()``,
-or is rejected by the CLI with the recorded exit code.
+or is rejected by the CLI with the recorded exit code.  Models are read through
+``model_text()``, their model spelling.
 
 The table was recorded before set expressions and specs shared one parser;
 it holds the unusual forms the spec grammar accepts (``const( 1/2 )``,
@@ -22,7 +23,7 @@ PARSE = {
     "set": lambda t: str(parse_set_expr(t)),
     "density": lambda t: parse_density_spec(t).describe(),
     "effect": lambda t: parse_effect_spec(t).describe(),
-    "model": lambda t: parse_model_spec(t).describe(),
+    "model": lambda t: parse_model_spec(t).model_text(),
 }
 
 # rejected inputs run through the CLI command that reads them

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from unsharp import states
 
 from unsharp.common import UNDETERMINED
-from unsharp.effects import box, constant, evaluate, gaussian, leq, neg, oplus, scale, smear, triangle
+from unsharp.effects import BoxDensity, GaussianDensity, box, constant, evaluate, gaussian, leq, neg, oplus, scale, smear, triangle
 from unsharp.filters import adjoin, disjoint_family, doubling_depths, escaping_base, filter_base, neighborhood_base
 from unsharp.intervals import interval, points
 from unsharp.quotient import ZERO, project
@@ -22,8 +22,8 @@ from unsharp.setexpr import parse_set_expr as parse
 from unsharp.verify import Draw, _random_effect
 from unsharp.states import (
     Mixture,
-    Uniform,
     cdf,
+    density_state,
     eval_density,
     eval_point,
     eval_sharp,
@@ -81,7 +81,7 @@ class TestSharpProbability:
         def pdf50(model, x):
             total = Decimal(0)
             for w, part in model.parts if isinstance(model, Mixture) else ((1, model),):
-                if isinstance(part, Uniform):
+                if isinstance(part, BoxDensity):
                     total += dec(w / (part.hi - part.lo)) if part.lo <= x < part.hi else 0
                 else:
                     z = (dec(x) - dec(part.mean)) / dec(part.sigma)
@@ -101,6 +101,37 @@ class TestSharpProbability:
                     assert abs(Decimal(p) - want) <= Decimal("1e-12") * want, (level, q, model)
 
 
+class TestOneClassPerShape:
+    """A model part is a detector's density placed anywhere; only its CDF
+    types and its spelling tell the roles apart."""
+
+    def test_models_are_the_detector_classes(self):
+        assert uniform(Fraction(-1, 2), HALF) == box(1) and isinstance(uniform(0, 1), BoxDensity)
+        assert normal(0, Fraction(1, 4)) == gaussian(Fraction(1, 4)) and isinstance(normal(1, 2), GaussianDensity)
+        assert (box(1).describe(), box(1).model_text()) == ("box(1)", "uniform(-1/2, 1/2)")
+        assert (gaussian(HALF).describe(), normal(1, HALF).model_text()) == ("gaussian(1/2)", "gaussian(1, 1/2)")
+        assert density_state(uniform(0, 1)).describe() == "uniform(0, 1)"
+
+    def test_model_cdf_keeps_the_mixture_types(self):
+        d = uniform(Fraction(-1, 2), HALF)
+        assert [(v, type(v)) for v in (d._float(-1.0), d._float(1.0))] == [(0, int), (1, int)]
+        assert [(v, type(v)) for v in (cdf(d, -1.0), cdf(d, 1.0))] == [(0, Fraction), (1, Fraction)]
+        assert cdf(d, 0.25) == d._float(0.25) == 0.75
+
+    def test_a_triangle_is_no_model_part(self):
+        with pytest.raises(TypeError):
+            mixture((1, triangle(1)))
+
+    def test_a_one_part_mixture_keeps_its_table_and_spelling(self, monkeypatch):
+        m = mixture((1, normal(0, 1)))
+        assert m.describe() == density_state(m).describe() == "mix(1*gaussian(0, 1))"
+        ppf(m, 0.5)  # builds the table
+        calls = _count_cdf(monkeypatch)
+        x = ppf(normal(0, 1), 0.3)  # closed form: no CDF call
+        assert calls == []
+        assert abs(ppf(m, 0.3) - x) <= 1e-12 and calls
+
+
 class TestSetValue:
     def test_uniform(self):
         assert str(support(uniform(0, 1))) == "[0, 1]"
@@ -111,6 +142,12 @@ class TestSetValue:
     def test_mixture_union(self):
         d = mixture((HALF, uniform(0, 1)), (HALF, uniform(2, 3)))
         assert str(support(d)) == "[0, 1] | [2, 3]"
+
+    def test_parts_of_weight_zero_are_left_out(self):
+        # they carry no probability, so the smallest closed set of full
+        # probability does not reach them
+        assert str(support(mixture((1, uniform(0, 1)), (0, normal(0, 1))))) == "[0, 1]"
+        assert str(support(mixture((0, uniform(5, 6)), (1, uniform(0, 1))))) == "[0, 1]"
 
     def test_probability_one_on_support(self):
         d = mixture((HALF, uniform(0, 1)), (HALF, uniform(2, 3)))
@@ -403,7 +440,7 @@ def _bisection_ppf(d, u):
     +- 10 sigma bracket down to 1e-12, returning the midpoint."""
     lo, hi = math.inf, -math.inf
     for _, comp in d.parts:
-        if isinstance(comp, Uniform):
+        if isinstance(comp, BoxDensity):
             lo, hi = min(lo, float(comp.lo)), max(hi, float(comp.hi))
         else:
             lo = min(lo, float(comp.mean) - 10.0 * float(comp.sigma))
@@ -487,7 +524,7 @@ class TestPpf:
             return sum(
                 float(w) * 0.5 * math.erfc((x - float(c.mean)) / float(c.sigma) / math.sqrt(2))
                 for w, c in d.parts
-                if not isinstance(c, Uniform)
+                if isinstance(c, GaussianDensity)
             )
 
         for d in gaussian_tails + [flat]:

@@ -85,8 +85,6 @@ _CLAMP_SLACK = 1e-12
 # argument x / sigma / sqrt(2) (at most about 3 units of 2**-53 in all).  The
 # margin also absorbs the rounding of the widening itself.
 _CDF_ERR = 2.0**-48
-# Gaussian model parts take sharp_probability's pdf route below this times sigma
-_NARROW = 2.0**-20
 
 
 def _add_down(a, b):
@@ -108,9 +106,8 @@ def _add_up(a, b):
 
 class _Density(FloatClosures):
     """Base of the confidence densities; ``_build(low)`` makes the CDF closure.
-    As model parts, box and Gaussian densities also give their mixture CDF
-    term, window at k sigma, weighted pdf, piece constant, weighted upper
-    tail, closed-form ppf and model spelling."""
+    As model parts, boxes and Gaussians also give a mixture CDF term, window
+    at k sigma, weighted pdf, piece constant, weighted tail, ppf and spelling."""
 
     @cached_property
     def _cdf_err(self):
@@ -332,7 +329,8 @@ class GaussianDensity(_Density):
 
     @cached_property
     def _narrow_width(self) -> float:
-        return _NARROW * float(self.sigma)
+        """sharp_probability integrates the pdf on cells narrower than this."""
+        return 2.0**-20 * float(self.sigma)
 
     def describe(self) -> str:
         return f"gaussian({self.sigma})"
@@ -766,7 +764,10 @@ def constant(c) -> Constant:
 
 
 def smear(s: IntervalSet, e) -> SmearedIndicator:
-    """The unsharp question "is the value in s?" asked through detector e."""
+    """The unsharp question "is the value in s?" asked through detector e,
+    which must be centred at 0: its tail bounds read one tail for both sides."""
+    if tuple(-k for k in reversed(e.knots())) != e.knots() or getattr(e, "mean", 0):
+        raise ValueError("a detector density must be centred at 0")
     return SmearedIndicator(s, e)
 
 

@@ -16,13 +16,12 @@ whose grid slack alone keeps the bracket at least tol wide; no such round can
 close, so no value moves.
 
 A density model is a detector's box (``uniform(lo, hi)``) or Gaussian
-(``normal(mean, sigma)``) density, or a :class:`Mixture` of them; each shape
-answers by method what a model asks of it, and a bare part reads as its
-one-part Mixture.  The Mixture's CDF is a closure builder ``_build(low)`` over
-the lowerings of :mod:`unsharp.common`.  :func:`cdf` reads a rational point
-through the ``EXACT`` closure, so it is exact for uniform-only models, and a
-finite float point through the ``FLOAT`` closure, which gives bit for bit
-what the ``EXACT`` closure would give it.
+(``normal(mean, sigma)``) density placed anywhere, or a :class:`Mixture` of
+them, which answers for a bare part too.  Its CDF is one closure builder
+``_build(low)`` over the lowerings of :mod:`unsharp.common`.  :func:`cdf`
+reads a rational point through the ``EXACT`` closure, so it is exact for
+uniform-only models, and a finite float point through the ``FLOAT`` closure,
+which gives bit for bit what the ``EXACT`` closure would give it.
 
 Every model caches its inverse CDF for :func:`ppf` as ``_float_ppf``: a closed
 form for a bare box or Gaussian part.  A ``Mixture`` caches a table of CDF

@@ -118,6 +118,12 @@ class TestOneClassPerShape:
         assert [(v, type(v)) for v in (cdf(d, -1.0), cdf(d, 1.0))] == [(0, Fraction), (1, Fraction)]
         assert cdf(d, 0.25) == d._float(0.25) == 0.75
 
+    def test_a_detector_is_centred(self):
+        # smear's tail bounds read one tail for both sides
+        for d in (uniform(0, 1), normal(1, 1)):
+            with pytest.raises(ValueError, match="centred"):
+                smear(parse("(0,1)"), d)
+
     def test_a_triangle_is_no_model_part(self):
         with pytest.raises(TypeError):
             mixture((1, triangle(1)))

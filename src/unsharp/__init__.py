@@ -73,7 +73,6 @@ from .quotient import (
     UNIT,
     ZERO,
     QuotientClass,
-    is_zero,
     point_membership_state,
     project,
     q_combine,
@@ -88,9 +87,6 @@ from .quotient import (
 from .setexpr import parse_set_expr
 from .states import (
     Mixture,
-    StateHandle,
-    density_state,
-    escaping_state,
     eval_density,
     eval_point,
     eval_sharp,
@@ -98,9 +94,7 @@ from .states import (
     mixture,
     mixture_expectation,
     normal,
-    point_state,
     sharp_probability,
-    sharp_state,
     uniform,
 )
 

@@ -18,12 +18,12 @@ from functools import cache
 from .common import DEFAULT_SEED, as_fraction, float_str, fraction_str
 from .effects import evaluate, smear
 from .errors import UnsharpError
-from .filters import adjoin, disjoint_family, filter_base, has_fmp, neighborhood_base
+from .filters import adjoin, disjoint_family, escaping_base, filter_base, has_fmp, neighborhood_base
 from .intervals import intersect, interval, complement, measure, membership
 from .measurement import PrecisionScheme, run_protocol
 from .quotient import project
 from .setexpr import parse_density_spec, parse_effect_spec, parse_model_spec, parse_set_expr
-from .states import density_state, escaping_state, point_state, sharp_probability, sharp_state
+from .states import eval_density, eval_point, filter_effect_value, sharp_probability
 from .common import UNDETERMINED
 from .verify import CRITERIA, run_suite
 
@@ -221,16 +221,15 @@ def cmd_state(args, config) -> int:
 
     kind, _, detail = state_spec.partition(":")
     if kind == "point":
-        state = point_state(detail)
+        value = eval_point(as_fraction(detail), f)
     elif kind == "density":
-        state = density_state(parse_model_spec(detail))
+        value = eval_density(parse_model_spec(detail), f, tol)
     elif kind == "sharp":
-        state = sharp_state(load_base_file(detail)[0])
+        value = filter_effect_value(load_base_file(detail)[0], f, depth, tol)
     elif kind == "escaping":
-        state = escaping_state()
+        value = filter_effect_value(escaping_base(2**40), f, depth, tol)
     else:
         raise UnsharpError(f"unknown state kind {kind!r} (want point/density/sharp/escaping)")
-    value = state.value_of(f, depth, tol)
     payload = {"state": state_spec, "effect": effect_spec, "value": _json_value(value)}
     _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     return 0

@@ -1090,7 +1090,3 @@ def effect_range_on(f: Effect, region: IntervalSet, tail_eps: float = 1e-12):
     lo = max(lo, float(f.range_lo))
     hi = min(hi, float(f.range_hi))
     return lo, hi
-
-
-def describe(f: Effect) -> str:
-    return f.describe()

@@ -239,7 +239,7 @@ class IntervalSet:
         return self._vals == other._vals and self._offs == other._offs
 
     def __hash__(self) -> int:
-        return hash((self._vals, self._offs))
+        return hash(self._vals)  # Fraction and float hashes are the same in every process
 
     def __repr__(self) -> str:
         return f"IntervalSet(components={self.components!r})"
@@ -388,10 +388,3 @@ def membership(q, a: IntervalSet) -> bool:
 
 def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
     return difference(a, b).is_empty
-
-
-def bounding_interval(a: IntervalSet):
-    """(inf, sup) of a nonempty set; endpoints may be infinite."""
-    if a.is_empty:
-        raise ValueError("empty set has no bounding interval")
-    return a._vals[0], a._vals[-1]

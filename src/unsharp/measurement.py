@@ -48,10 +48,6 @@ class PrecisionScheme:
         d = self.diameter
         return (i * d, (i + 1) * d)
 
-    def parent_cell(self, i: int) -> int:
-        """Index at level-1 of the cell containing this one."""
-        return i >> 1
-
 
 def dyadic_cell(q, n: int) -> int:
     """The unique i with i*2^-n <= q < (i+1)*2^-n."""
@@ -89,9 +85,6 @@ class MeasurementRecord:
     level: int
     counts: tuple  # sorted (cell_index, count) pairs
     total: int
-
-    def count_of(self, i: int) -> int:
-        return dict(self.counts).get(i, 0)
 
     def as_dict(self) -> dict:
         return dict(self.counts)

@@ -122,10 +122,6 @@ def q_leq(x: QuotientClass, y: QuotientClass) -> bool:
     return q_diff(x, y).is_zero
 
 
-def is_zero(x: QuotientClass) -> bool:
-    return x.is_zero
-
-
 def split(x: QuotientClass) -> tuple:
     """Split a nonzero class into two disjoint nonzero classes joining to it.
 

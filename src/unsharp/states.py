@@ -1,5 +1,9 @@
-"""State evaluation: point states, density states, partial sharp states from
-filter bases, and escaping states.
+"""State evaluation, one evaluator per state kind.  A point state reads the
+response curve (:func:`eval_point`).  A density state integrates it
+(:func:`eval_density`).  A sharp state, built from a filter base, answers a
+sharp question with :func:`eval_sharp` and an effect with
+:func:`filter_effect_value`.  An escaping state is a sharp state along
+:func:`~unsharp.filters.escaping_base`.
 
 Density states integrate an effect against a closed-form probability density.
 Two independent numerical routes exist on purpose: :func:`eval_density` uses
@@ -50,10 +54,10 @@ from .common import (
     is_infinite,
 )
 from .effects import BoxDensity, Effect, GaussianDensity, effect_range_on, evaluate, range_stays_wide
-from .filters import FilterBase, doubling_depths, escaping_base
+from .filters import FilterBase, doubling_depths
 from .intervals import Interval, IntervalSet, REALS
 from .quadrature import adaptive_simpson_pieces, gauss_legendre
-from .quotient import QuotientClass, point_membership_state, q_leq, q_not
+from .quotient import QuotientClass, q_leq, q_not
 
 _STD_NORMAL = NormalDist()
 _SQRT2 = math.sqrt(2.0)
@@ -422,57 +426,6 @@ def mixture_expectation(d, f: Effect, tol: float) -> float:
 
 # ---------------------------------------------------------------------------
 # partial sharp states and escaping states
-
-
-@dataclass(frozen=True)
-class StateHandle:
-    """One handle over the four state variants.
-
-    Point and density states are total on effects; sharp and escaping states
-    may answer :data:`UNDETERMINED`.  Construct through :func:`point_state`,
-    :func:`density_state`, :func:`sharp_state`, or :func:`escaping_state`.
-    """
-
-    kind: str  # "point" | "density" | "sharp" | "escaping"
-    payload: object
-
-    def value_of(self, f: Effect, depth: int = 2**40, tol=1e-9):
-        if self.kind == "point":
-            return eval_point(self.payload, f)
-        if self.kind == "density":
-            return eval_density(self.payload, f, float(tol))
-        return filter_effect_value(self.payload, f, depth, tol)
-
-    def sharp_value_of(self, x: QuotientClass, depth: int = 64):
-        """Answer a sharp question where the variant can."""
-        if self.kind == "point":
-            return point_membership_state(self.payload, x.rep)
-        if self.kind == "density":
-            return sharp_probability(self.payload, x.rep)
-        return eval_sharp(self.payload, x, depth)
-
-    def describe(self) -> str:
-        if self.kind in ("point", "escaping"):
-            return f"{self.kind}({self.payload})" if self.kind == "point" else "escaping"
-        if self.kind == "density":
-            return self.payload.model_text()
-        return f"sharp[{self.payload.describe()}]"
-
-
-def point_state(lam) -> StateHandle:
-    return StateHandle("point", as_fraction(lam))
-
-
-def density_state(d) -> StateHandle:
-    return StateHandle("density", d)
-
-
-def sharp_state(base: FilterBase) -> StateHandle:
-    return StateHandle("sharp", base)
-
-
-def escaping_state(direction: int = 1, depth: int = 2**40) -> StateHandle:
-    return StateHandle("escaping", escaping_base(depth, direction))
 
 
 def eval_sharp(base: FilterBase, x: QuotientClass, depth: int):

@@ -8,12 +8,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unsharp.common import NEG_INF, POS_INF
 from unsharp.effects import (
     _CDF_ERR,
+    _add_down,
+    _add_up,
     box,
     constant,
     gaussian,
@@ -36,6 +38,23 @@ from strategies import interval_sets, rationals
 # holds the exact value, the float value may sit a few units of 2**-53 outside
 # (an enclosure's own widening is 2**-48 per CDF value)
 FLOAT_NOISE = 2.0**-50
+
+finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(finite, finite)
+@example(1.0, 1e-17)  # rounds down to 1.0
+@example(1.0, -1e-17)  # rounds up to 1.0
+def test_directed_sums_bound_the_exact_sum(a, b):
+    """Every enclosure adds through these: each result lies on its side of
+    the exact sum, at most one step outward from the rounded sum."""
+    exact = Fraction(a) + Fraction(b)
+    s = a + b
+    down, up = _add_down(a, b), _add_up(a, b)
+    assert Fraction(down) <= exact <= Fraction(up)
+    assert down in (s, math.nextafter(s, NEG_INF))
+    assert up in (s, math.nextafter(s, POS_INF))
 
 quarters = st.integers(min_value=1, max_value=8).map(lambda k: Fraction(k, 4))
 densities = st.one_of(

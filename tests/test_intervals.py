@@ -1,9 +1,13 @@
 """Exact interval-set algebra: canonical form, Boolean laws, measure."""
 
 import math
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,6 @@ from unsharp.intervals import (
     REALS,
     Interval,
     IntervalSet,
-    bounding_interval,
     closed,
     combine,
     complement,
@@ -31,6 +34,8 @@ from unsharp.intervals import (
 from unsharp.quotient import project
 
 from strategies import colliding_interval_sets, interval_sets
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestIntervalInvariants:
@@ -208,16 +213,9 @@ def test_canonicalization_idempotent(a):
 
 @settings(max_examples=100)
 @given(interval_sets(), interval_sets())
-def test_subset_and_bounding(a, b):
+def test_subset_of_intersection_and_union(a, b):
     assert is_subset(intersect(a, b), a)
     assert is_subset(a, union(a, b))
-    if not a.is_empty:
-        lo, hi = bounding_interval(a)
-        for c in a.components:
-            if not isinstance(c.lo, float):
-                assert lo <= c.lo
-            if not isinstance(c.hi, float):
-                assert c.hi <= hi
 
 
 class TestValueSemantics:
@@ -259,6 +257,28 @@ class TestValueSemantics:
             IntervalSet((a, b))
         with pytest.raises(ValueError):
             IntervalSet((a, a))
+
+    def test_hash_does_not_depend_on_the_process(self):
+        # a set, a class or a smear must not iterate in a per-process order
+        code = (
+            "from unsharp.effects import box, smear\n"
+            "from unsharp.intervals import interval\n"
+            "from unsharp.quotient import project\n"
+            "s = interval(0, 1)\n"
+            "print(hash(s), hash(project(s)), hash(smear(s, box(1))))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=salt),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for salt in ("0", "1")
+        ]
+        assert outs[0] == outs[1] != ""
 
 
 @settings(max_examples=200)

@@ -16,14 +16,13 @@ from unsharp.common import UNDETERMINED
 from unsharp.effects import BoxDensity, GaussianDensity, box, constant, evaluate, gaussian, leq, neg, oplus, scale, smear, triangle
 from unsharp.filters import adjoin, disjoint_family, doubling_depths, escaping_base, filter_base, neighborhood_base
 from unsharp.intervals import interval, points
-from unsharp.quotient import ZERO, project
+from unsharp.quotient import ZERO, point_membership_state, project
 from unsharp.rng import substream_seed
 from unsharp.setexpr import parse_set_expr as parse
 from unsharp.verify import Draw, _random_effect
 from unsharp.states import (
     Mixture,
     cdf,
-    density_state,
     eval_density,
     eval_point,
     eval_sharp,
@@ -110,7 +109,7 @@ class TestOneClassPerShape:
         assert normal(0, Fraction(1, 4)) == gaussian(Fraction(1, 4)) and isinstance(normal(1, 2), GaussianDensity)
         assert (box(1).describe(), box(1).model_text()) == ("box(1)", "uniform(-1/2, 1/2)")
         assert (gaussian(HALF).describe(), normal(1, HALF).model_text()) == ("gaussian(1/2)", "gaussian(1, 1/2)")
-        assert density_state(uniform(0, 1)).describe() == "uniform(0, 1)"
+        assert uniform(0, 1).model_text() == "uniform(0, 1)"
 
     def test_model_cdf_keeps_the_mixture_types(self):
         d = uniform(Fraction(-1, 2), HALF)
@@ -130,7 +129,7 @@ class TestOneClassPerShape:
 
     def test_a_one_part_mixture_keeps_its_table_and_spelling(self, monkeypatch):
         m = mixture((1, normal(0, 1)))
-        assert m.describe() == density_state(m).describe() == "mix(1*gaussian(0, 1))"
+        assert m.describe() == m.model_text() == "mix(1*gaussian(0, 1))"
         ppf(m, 0.5)  # builds the table
         calls = _count_cdf(monkeypatch)
         x = ppf(normal(0, 1), 0.3)  # closed form: no CDF call
@@ -402,37 +401,31 @@ class TestStateLaws:
                 assert abs(value(scaled) - float(a) * value(f)) <= 1e-10, (name, a)
 
 
-class TestStateHandle:
-    def test_point_variant_total(self):
-        from unsharp.states import point_state
+class TestStateEvaluators:
+    """Each state kind's evaluator, called as ``unsharp state`` calls it."""
 
-        h = point_state(Fraction(1, 2))
-        assert h.value_of(smear(parse("(0,1)"), box(1))) == 1
-        assert h.sharp_value_of(project(parse("(0,1)"))) == 1
+    def test_point_is_total(self):
+        assert eval_point(HALF, smear(parse("(0,1)"), box(1))) == 1
+        assert point_membership_state(HALF, project(parse("(0,1)")).rep) == 1
 
-    def test_density_variant(self):
-        from unsharp.states import density_state
+    def test_density(self):
+        d = uniform(0, 1)
+        assert abs(eval_density(d, constant(HALF), 1e-10) - 0.5) < 1e-10
+        assert sharp_probability(d, project(parse("(0,1/2)")).rep) == HALF
 
-        h = density_state(uniform(0, 1))
-        assert abs(h.value_of(constant(HALF), tol=1e-10) - 0.5) < 1e-10
-        assert h.sharp_value_of(project(parse("(0,1/2)"))) == Fraction(1, 2)
-
-    def test_sharp_variant_partial(self):
-        from unsharp.states import sharp_state
-
+    def test_sharp_is_partial(self):
         base = neighborhood_base(0, 2**20)
-        h = sharp_state(adjoin(base, project(parse("(0,inf)")), 64))
-        assert h.sharp_value_of(project(parse("(0,inf)"))) == 1
-        assert sharp_state(base).sharp_value_of(project(parse("(0,inf)"))) is UNDETERMINED
+        x = project(parse("(0,inf)"))
+        assert eval_sharp(adjoin(base, x, 64), x, 64) == 1
+        assert eval_sharp(base, x, 64) is UNDETERMINED
 
-    def test_escaping_variants_both_directions(self):
-        from unsharp.states import escaping_state
-
+    def test_escaping_both_directions(self):
+        # the CLI escapes to +inf only; -1 is reached through the API alone
         f = smear(parse("(0,1)"), box(1))
         for direction in (1, -1):
-            h = escaping_state(direction)
-            assert abs(float(h.value_of(f, tol=1e-6))) <= 1e-6
-            assert h.value_of(constant(Fraction(1, 3)), tol=1e-6) == Fraction(1, 3)
+            base = escaping_base(2**40, direction)
+            assert abs(float(filter_effect_value(base, f, 2**40, 1e-6))) <= 1e-6
+            assert filter_effect_value(base, constant(Fraction(1, 3)), 2**40, 1e-6) == Fraction(1, 3)
 
     def test_left_escape_diverges_left(self):
         from unsharp.common import DIVERGENT

@@ -56,6 +56,32 @@ def test_tracer_targets_resolve_and_uninstall():
         assert vars(owner)[key] is original, f"{key} is not restored"
 
 
+def test_intervals_built_counts_each_checked_construction():
+    from fractions import Fraction
+
+    from unsharp.intervals import Interval, IntervalSet, interval, points
+    from unsharp.setexpr import parse_set_expr
+
+    made = {
+        "Interval": lambda: Interval(0, Fraction(1, 2)),
+        "interval": lambda: interval(0, 1, True),
+        "points": lambda: points(3, 1, 2),
+        "literal": lambda: parse_set_expr("[0, 1) | {5, 7} | (2, inf)"),
+        "views": lambda: IntervalSet.from_intervals(
+            (Interval(2, 3), Interval(0, 1))
+        ).components,
+    }
+    expected = {"Interval": 1, "interval": 1, "points": 3, "literal": 4, "views": 2}
+    tracer = tracing.Tracer(unsharp).install()
+    try:
+        for key, make in made.items():
+            tracer.reset()
+            make()
+            assert tracer.calls["intervals.built"] == expected[key], key
+    finally:
+        tracer.uninstall()
+
+
 @pytest.mark.parametrize("name", sorted(bench_run.COVERAGE))
 def test_workload_checks_pass(name, refs):
     tasks = workloads.build(name, unsharp, 1, refs)

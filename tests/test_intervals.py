@@ -1,5 +1,6 @@
 """Exact interval-set algebra: canonical form, Boolean laws, measure."""
 
+import copy
 import math
 import os
 import pickle
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsharp.intervals import (
     EMPTY,
@@ -31,9 +33,10 @@ from unsharp.intervals import (
     union,
 )
 
+from unsharp.common import NEG_INF, POS_INF
 from unsharp.quotient import project
 
-from strategies import colliding_interval_sets, interval_sets
+from strategies import colliding_interval_sets, interval_sets, rationals
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,6 +65,137 @@ class TestIntervalInvariants:
         b = Interval(Fraction(1), Fraction(2), lo_closed=True)
         with pytest.raises(ValueError):
             IntervalSet((a, b))  # (0,1) and [1,2] are adjacent, must merge
+
+
+_NOT_RATIONAL = "to a rational; pass a string or Fraction, or call snap_to_rational"
+
+# (arguments, exception type, message); where two checks could fire, the
+# message shows which one runs first
+INVALID_INTERVALS = [
+    ((POS_INF, 1), ValueError, "lower endpoint may be -inf but not +inf"),
+    ((POS_INF, POS_INF), ValueError, "lower endpoint may be -inf but not +inf"),
+    ((0, NEG_INF), ValueError, "upper endpoint may be +inf but not -inf"),
+    ((NEG_INF, NEG_INF), ValueError, "upper endpoint may be +inf but not -inf"),
+    ((NEG_INF, 0, True), ValueError, "infinite endpoints must be open"),
+    ((0, POS_INF, False, True), ValueError, "infinite endpoints must be open"),
+    ((NEG_INF, POS_INF, True, True), ValueError, "infinite endpoints must be open"),
+    ((2, 1), ValueError, "malformed interval: lo 2 > hi 1"),
+    (("5/2", Fraction(1, 3)), ValueError, "malformed interval: lo 5/2 > hi 1/3"),
+    ((1, 1), ValueError, "a zero-width interval must be closed on both ends"),
+    ((Fraction(1), "1", True), ValueError, "a zero-width interval must be closed on both ends"),
+    ((1, 1, False, True), ValueError, "a zero-width interval must be closed on both ends"),
+    ((0.5, 1), TypeError, f"refusing to coerce float 0.5 {_NOT_RATIONAL}"),
+    ((0, 0.5), TypeError, f"refusing to coerce float 0.5 {_NOT_RATIONAL}"),
+    ((float("nan"), 1), TypeError, f"refusing to coerce float nan {_NOT_RATIONAL}"),
+    ((True, 2), TypeError, "cannot interpret a bool as a rational"),
+    ((0, False), TypeError, "cannot interpret a bool as a rational"),
+    ((None, 1), TypeError, "cannot interpret NoneType as a rational"),
+    ((NEG_INF, "x", True), ValueError, "not a rational literal: 'x'"),
+    ((0, "1/0"), ValueError, "not a rational literal: '1/0'"),
+]
+
+
+@pytest.mark.parametrize("args,exc,message", INVALID_INTERVALS)
+def test_invalid_interval_rejected(args, exc, message):
+    with pytest.raises(exc) as info:
+        Interval(*args)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+class TestIntervalValue:
+    def test_endpoints_become_fractions(self):
+        iv = Interval(0, "1/2", hi_closed=True)
+        assert (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) == (0, Fraction(1, 2), False, True)
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+        half_line = Interval(NEG_INF, POS_INF)
+        assert half_line.lo is NEG_INF and half_line.hi is POS_INF
+
+    def test_keyword_construction(self):
+        iv = Interval(lo=Fraction(0), hi=1, lo_closed=True)
+        assert iv == Interval(0, 1, True, False)
+        assert iv == Interval(hi_closed=False, lo_closed=True, hi="1", lo="0")
+
+    def test_equality_and_hash(self):
+        iv = Interval(Fraction(1, 3), 2, True)
+        assert iv == Interval("1/3", Fraction(2), lo_closed=True)
+        assert iv != Interval(Fraction(1, 3), 2)
+        assert iv != Interval(Fraction(1, 3), 3, True)
+        assert iv != (Fraction(1, 3), Fraction(2), True, False)
+        assert iv.__eq__((Fraction(1, 3), Fraction(2), True, False)) is NotImplemented
+        assert hash(iv) == hash((Fraction(1, 3), Fraction(2), True, False))
+        assert len({iv, Interval("1/3", 2, True), Interval(0, 1)}) == 2
+
+    def test_repr(self):
+        assert repr(Interval(Fraction(-1, 2), POS_INF, True)) == (
+            "Interval(lo=Fraction(-1, 2), hi=inf, lo_closed=True, hi_closed=False)"
+        )
+        assert str(Interval(Fraction(-1, 2), POS_INF, True)) == "[-1/2, inf)"
+        assert str(Interval(3, 3, True, True)) == "{3}"
+
+    def test_pickle_and_copy(self):
+        for iv in (Interval(0, 1), Interval(NEG_INF, Fraction(1, 3), False, True)):
+            for twin in (pickle.loads(pickle.dumps(iv)), copy.copy(iv), copy.deepcopy(iv)):
+                assert twin == iv and hash(twin) == hash(iv) and repr(twin) == repr(iv)
+                assert type(twin.hi) is type(iv.hi)
+
+    def test_frozen(self):
+        iv = Interval(0, 1)
+        for name in ("lo", "hi", "lo_closed", "hi_closed", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(iv, name, Fraction(5))
+            with pytest.raises(FrozenInstanceError):
+                delattr(iv, name)
+        assert iv == Interval(0, 1)
+
+
+# Endpoints whose float keys tie (1 and 1 + 2^-60), overflow (+-10^400/3)
+# or are unbounded, mixed with small rationals.
+_TIED = st.sampled_from(
+    (Fraction(1), 1 + Fraction(1, 2**60), 1 - Fraction(1, 2**60), 1 + Fraction(1, 2**61),
+     Fraction(10**400, 3), Fraction(10**400, 3) + 1, -Fraction(10**400, 3),
+     -Fraction(10**400, 3) - 1)
+)
+_ENDS = _TIED | rationals
+
+
+@st.composite
+def _tied_intervals(draw):
+    a, b = sorted((draw(_ENDS), draw(_ENDS)))
+    if a == b and draw(st.booleans()):
+        return Interval(a, a, True, True)
+    lo = NEG_INF if draw(st.integers(0, 4)) == 0 else a
+    hi = POS_INF if draw(st.integers(0, 4)) == 0 else b
+    if lo == hi:
+        return Interval(lo, hi, True, True)
+    lo_closed = lo != NEG_INF and draw(st.booleans())
+    hi_closed = hi != POS_INF and draw(st.booleans())
+    return Interval(lo, hi, lo_closed, hi_closed)
+
+
+def _reference_from_intervals(ivs):
+    """Sort-and-merge of the exact cut spans, compared as Fraction tuples."""
+    vals, offs = [], []
+    for start, end in sorted(iv.span() for iv in ivs):
+        if vals and start <= (vals[-1], offs[-1]):
+            if end > (vals[-1], offs[-1]):
+                vals[-1], offs[-1] = end
+        else:
+            vals += (start[0], end[0])
+            offs += (start[1], end[1])
+    return tuple(vals), bytes(offs)
+
+
+@settings(max_examples=300)
+@given(st.lists(_tied_intervals(), max_size=8))
+def test_from_intervals_matches_exact_merge(ivs):
+    s = IntervalSet.from_intervals(ivs)
+    vals, offs = _reference_from_intervals(ivs)
+    assert s._vals == vals and s._offs == offs
+    assert [type(v) for v in s._vals] == [type(v) for v in vals]
+    assert IntervalSet(s.components) == s
+    assert IntervalSet.from_intervals(reversed(ivs)) == s
+    assert str(s) == (" | ".join(str(c) for c in s.components) or "empty")
 
 
 class TestCanonicalForm:

@@ -114,6 +114,8 @@ def snap_to_rational(x: float, max_denominator: int = 10**12) -> Fraction:
 
 def fraction_str(x) -> str:
     """Serialize an exact endpoint: "p/q" (or "p"), "inf", "-inf"."""
+    if x.__class__ is Fraction:
+        return str(x)
     if is_infinite(x):
         return "inf" if x > 0 else "-inf"
     return str(Fraction(x))

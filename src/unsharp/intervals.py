@@ -2,7 +2,8 @@
 
 Endpoints are arbitrary-precision rationals (``fractions.Fraction``); the
 symbols ``-inf``/``inf`` (Python floats) mark unbounded ends, which are always
-open.  An :class:`IntervalSet` is kept in a canonical form: components sorted,
+open.  An :class:`Interval` is a slotted immutable value, checked once when it
+is built and compared, hashed and pickled as a frozen dataclass would be.  An :class:`IntervalSet` is kept in a canonical form: components sorted,
 pairwise disjoint, and non-adjacent (no two components could be merged into a
 single interval).  Two canonical sets are equal as point sets exactly when
 their cut sequences compare equal, so Boolean-algebra laws can be asserted
@@ -31,14 +32,16 @@ only when asked.  Validation happens once, in the public constructors.
 The sweep orders cuts by float keys: ``float(value)``, or ``-inf``/``inf``
 when that overflows.  The conversion rounds correctly, so keys are weakly
 monotone in the value, and a smaller key means a smaller cut.  Only when two
-keys are equal does the sweep compare the cuts exactly.  Keys order cuts and
-never decide them, so every result is exact: no rounding anywhere.
+keys are equal does the sweep compare the cuts exactly, and not even then
+when both are the same endpoint object.  :meth:`IntervalSet.from_intervals`
+sorts and merges spans by the same rule.  Keys order cuts and never decide
+them, so every result is exact: no rounding anywhere.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -47,39 +50,81 @@ from .common import NEG_INF, POS_INF, as_fraction, fraction_str, is_infinite
 Endpoint = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
 class Interval:
-    """One interval with exact endpoints.
+    """One interval with exact endpoints; an immutable value.
 
     Invariants: ``lo <= hi``; infinite endpoints are open; if ``lo == hi``
     both ends are closed (a singleton point).
     """
 
-    lo: Endpoint
-    hi: Endpoint
-    lo_closed: bool = False
-    hi_closed: bool = False
+    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+
+    def __init__(
+        self, lo: Endpoint, hi: Endpoint, lo_closed: bool = False, hi_closed: bool = False
+    ):
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "lo_closed", lo_closed)
+        _set(self, "hi_closed", hi_closed)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validate the endpoints and coerce finite ones to ``Fraction``.  A
+        method of its own, run once per checked construction: the benchmark
+        counts built intervals by wrapping it."""
         lo, hi = self.lo, self.hi
-        if not is_infinite(lo):
-            object.__setattr__(self, "lo", as_fraction(lo))
-        elif lo != NEG_INF:
-            raise ValueError("lower endpoint may be -inf but not +inf")
-        if not is_infinite(hi):
-            object.__setattr__(self, "hi", as_fraction(hi))
-        elif hi != POS_INF:
-            raise ValueError("upper endpoint may be +inf but not -inf")
-        lo, hi = self.lo, self.hi
-        if is_infinite(lo) and self.lo_closed:
-            raise ValueError("infinite endpoints must be open")
-        if is_infinite(hi) and self.hi_closed:
-            raise ValueError("infinite endpoints must be open")
-        if not is_infinite(lo) and not is_infinite(hi):
-            if lo > hi:
-                raise ValueError(f"malformed interval: lo {lo} > hi {hi}")
-            if lo == hi and not (self.lo_closed and self.hi_closed):
-                raise ValueError("a zero-width interval must be closed on both ends")
+        if lo.__class__ is not Fraction:
+            if not is_infinite(lo):
+                lo = as_fraction(lo)
+                _set(self, "lo", lo)
+            elif lo != NEG_INF:
+                raise ValueError("lower endpoint may be -inf but not +inf")
+        if hi.__class__ is not Fraction:
+            if not is_infinite(hi):
+                hi = as_fraction(hi)
+                _set(self, "hi", hi)
+            elif hi != POS_INF:
+                raise ValueError("upper endpoint may be +inf but not -inf")
+        # an infinite end is now -inf below or +inf above, so lo < hi holds
+        # unless both ends are finite; a float end is an infinite one
+        if lo < hi:
+            if (self.lo_closed and isinstance(lo, float)) or (
+                self.hi_closed and isinstance(hi, float)
+            ):
+                raise ValueError("infinite endpoints must be open")
+        elif lo > hi:
+            raise ValueError(f"malformed interval: lo {lo} > hi {hi}")
+        elif not (self.lo_closed and self.hi_closed):
+            raise ValueError("a zero-width interval must be closed on both ends")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.lo_closed, self.hi_closed) == (
+            other.lo, other.hi, other.lo_closed, other.hi_closed
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.lo_closed, self.hi_closed))
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(lo={self.lo!r}, hi={self.hi!r}, "
+            f"lo_closed={self.lo_closed!r}, hi_closed={self.hi_closed!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _view, (self.lo, self.hi, self.lo_closed, self.hi_closed)
 
     @property
     def is_singleton(self) -> bool:
@@ -120,12 +165,8 @@ def singleton(q) -> "IntervalSet":
 def points(*qs) -> "IntervalSet":
     """The finite point set {q1, ..., qk}."""
     return IntervalSet.from_intervals(
-        Interval(as_fraction(q), as_fraction(q), True, True) for q in qs
+        Interval(q, q, True, True) for q in map(as_fraction, qs)
     )
-
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def _make(vals: tuple, offs: bytes, keys) -> "IntervalSet":
@@ -141,11 +182,14 @@ def _make(vals: tuple, offs: bytes, keys) -> "IntervalSet":
 
 def _key(v) -> float:
     """Sort key of an endpoint, weakly monotone in it: ``float(v)``, or an
-    infinity where that overflows."""
+    infinity where that overflows.  Integer true division rounds correctly,
+    so for a rational it is ``float(v)`` without the ``Fraction`` call."""
     try:
-        return float(v)
+        return v.numerator / v.denominator
     except OverflowError:
         return POS_INF if v > 0 else NEG_INF
+    except AttributeError:  # an infinite endpoint is its own key
+        return v
 
 
 def _keys(s: "IntervalSet") -> tuple:
@@ -160,7 +204,10 @@ def _keys(s: "IntervalSet") -> tuple:
 def _view(lo, hi, lo_closed: bool, hi_closed: bool) -> Interval:
     """An ``Interval`` made without validation, from trusted endpoints."""
     iv = _new(Interval)
-    _set(iv, "__dict__", {"lo": lo, "hi": hi, "lo_closed": lo_closed, "hi_closed": hi_closed})
+    _set(iv, "lo", lo)
+    _set(iv, "hi", hi)
+    _set(iv, "lo_closed", lo_closed)
+    _set(iv, "hi_closed", hi_closed)
     return iv
 
 
@@ -196,15 +243,26 @@ class IntervalSet:
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":
-        """Normalize an arbitrary collection of intervals to canonical form."""
+        """Normalize an arbitrary collection of intervals to canonical form.
+
+        Spans sort by float keys first, as in :func:`_sweep`, so endpoints
+        are compared exactly only where their keys tie."""
+        spans = sorted(
+            (_key(iv.lo), iv.lo, 0 if iv.lo_closed else 1,
+             _key(iv.hi), iv.hi, 1 if iv.hi_closed else 0)
+            for iv in intervals
+        )
         vals, offs = [], []
-        for start, end in sorted(iv.span() for iv in intervals):
-            if vals and start <= (vals[-1], offs[-1]):
-                if end > (vals[-1], offs[-1]):
-                    vals[-1], offs[-1] = end
+        top = NEG_INF  # key of the last end cut
+        for klo, lo, olo, khi, hi, ohi in spans:
+            # the span overlaps or touches the last component: start <= end
+            if vals and (klo < top or klo == top and (lo, olo) <= (vals[-1], offs[-1])):
+                if khi > top or khi == top and (hi, ohi) > (vals[-1], offs[-1]):
+                    vals[-1], offs[-1], top = hi, ohi, khi
             else:
-                vals += (start[0], end[0])
-                offs += (start[1], end[1])
+                vals += (lo, hi)
+                offs += (olo, ohi)
+                top = khi
         return _make(tuple(vals), bytes(offs), None)
 
     @property
@@ -263,9 +321,18 @@ class IntervalSet:
         return complement(self)
 
     def __str__(self) -> str:
-        if not self._vals:
+        vals, offs = self._vals, self._offs
+        if not vals:
             return "empty"
-        return " | ".join(str(c) for c in self.components)
+        parts = []
+        for k in range(0, len(vals), 2):
+            lo, hi = vals[k], vals[k + 1]
+            if lo == hi:
+                parts.append("{%s}" % fraction_str(lo))
+            else:
+                lb, rb = "[("[offs[k]], ")]"[offs[k + 1]]
+                parts.append(f"{lb}{fraction_str(lo)}, {fraction_str(hi)}{rb}")
+        return " | ".join(parts)
 
 
 EMPTY = IntervalSet()
@@ -293,7 +360,7 @@ def _sweep(a: IntervalSet, b: IntervalSet, table) -> IntervalSet:
         x, y = ka[i], kb[j]
         if x == y:  # equal keys: compare the cuts exactly
             x, y = va[i], vb[j]
-            if x == y:
+            if x is y or x == y:
                 x, y = oa[i], ob[j]
         if x < y:
             v, o, k = va[i], oa[i], ka[i]

@@ -218,6 +218,8 @@ def cmd_state(args, config) -> int:
     f = parse_effect_spec(effect_spec)
     depth = int(resolve(args, config, "depth", 2**40))
     tol = float(resolve(args, config, "tol", 1e-9))
+    if not tol > 0:  # NaN too
+        raise UnsharpError("tol must be positive")
 
     kind, _, detail = state_spec.partition(":")
     if kind == "point":

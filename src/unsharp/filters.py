@@ -409,7 +409,7 @@ def converges_to(base: FilterBase, depth: int, tol):
     if depth < 1:
         raise ValueError("depth must be at least 1")
     tol = as_fraction(tol)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     depth = max(min(depth, base.size), 1)  # an empty base still yields one (unit) meet
     lows, highs = [], []

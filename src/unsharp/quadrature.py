@@ -59,7 +59,7 @@ def _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
 def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Integrate ``f`` over [a, b] with estimated absolute error <= tol."""
     a, b = float(a), float(b)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if a == b:
         return 0.0
@@ -111,7 +111,7 @@ def gauss_legendre(f, knots, tol: float) -> float:
     knots = [float(k) for k in knots]
     if len(knots) < 2 or knots[-1] <= knots[0]:
         return 0.0
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     panels = 1
     prev = _gl_composite(f, knots, panels)

@@ -404,7 +404,7 @@ def _piecewise(d, f: Effect, value, rule, tail_mass: float, tol: float) -> float
 def eval_density(d, f: Effect, tol: float) -> float:
     """Expectation of an effect in a density state, by adaptive Simpson with
     panels split at every knot; truncation tails carry at most tol/10."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     return _piecewise(d, f, f.value_at, adaptive_simpson_pieces, tol / 10.0, tol * 0.8)
 
@@ -413,7 +413,7 @@ def mixture_expectation(d, f: Effect, tol: float) -> float:
     """The same expectation computed the decomposed way: integrate the point
     state's value against the mixing measure, on an independent mesh
     (composite Gauss-Legendre, per-part truncation at tol/20)."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     point_value = lambda lam: eval_point(lam, f)
     total = 0.0
@@ -467,7 +467,7 @@ def filter_effect_value(base: FilterBase, f: Effect, depth: int, tol):
     if depth < 1:
         raise ValueError("depth must be at least 1")
     tol_f = float(tol)
-    if tol_f <= 0:
+    if not tol_f > 0:
         raise ValueError("tol must be positive")
     lo_r, hi_r = f.range_bounds
     if hi_r - lo_r < tol:

@@ -549,6 +549,8 @@ RUNTIME_LIMITS = {
 def run_suite(keys=None, cases: int | None = None, seed: int = DEFAULT_SEED) -> int:
     """Run the named suites (all by default); one line per criterion; returns
     a process exit code (0 iff everything passed, runtime limits included)."""
+    if cases is not None and cases < 1:
+        raise ValueError(f"cases must be positive, not {cases}")
     selected = dict(CRITERIA)
     if keys:
         unknown = [k for k in keys if k not in selected]

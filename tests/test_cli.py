@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,18 @@ class TestStateCommand:
         value = json.loads(out)["value"]
         assert value == pytest.approx(1.0, abs=1e-6)
 
+
+    @pytest.mark.parametrize("kind", ["point:0", "density:uniform(0,1)", "sharp:", "escaping"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "-0.5"])
+    def test_tol_must_be_positive(self, tmp_path, capsys, kind, tol):
+        if kind == "sharp:":
+            base = tmp_path / "base.json"
+            base.write_text(json.dumps({"lambda": "0", "depth": 64}))
+            kind += str(base)
+        code, out, err = run_capture(
+            ["state", "--state", kind, "--effect", "smear((0,1);box(1))", "--tol", tol], capsys
+        )
+        assert (code, out, err) == (1, "", "error: tol must be positive\n")
 
     @pytest.mark.parametrize(
         "state, effect",
@@ -270,6 +285,26 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run_capture(["verify", "--suite", "nope"], capsys)
         assert code == 1 and "unknown" in err
+
+    @pytest.mark.parametrize("cases", ["0", "-5"])
+    def test_cases_must_be_positive(self, capsys, cases):
+        code, out, err = run_capture(
+            ["verify", "--suite", "boolean-laws", "--cases", cases], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: cases must be positive, not {cases}\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "unsharp", "sets", "--expr", "(0,1) | [1,2] | {5}"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "(0, 2] | {5}\n", "")
 
 
 # Recorded argv, exit code and stdout SHA-256 of CLI runs; read only.

@@ -16,6 +16,7 @@ from unsharp.common import UNDETERMINED
 from unsharp.effects import BoxDensity, GaussianDensity, box, constant, evaluate, gaussian, leq, neg, oplus, scale, smear, triangle
 from unsharp.filters import adjoin, disjoint_family, doubling_depths, escaping_base, filter_base, neighborhood_base
 from unsharp.intervals import interval, points
+from unsharp.quadrature import adaptive_simpson, gauss_legendre
 from unsharp.quotient import ZERO, point_membership_state, project
 from unsharp.rng import substream_seed
 from unsharp.setexpr import parse_set_expr as parse
@@ -181,9 +182,18 @@ class TestEvalDensity:
         got = eval_density(uniform(0, 1), f, 1e-12)
         assert abs(got - float(exact)) < 1e-11
 
-    def test_tolerance_validated(self):
-        with pytest.raises(ValueError):
-            eval_density(uniform(0, 1), constant(0), 0)
+    @pytest.mark.parametrize("tol", [0, -1e-9, math.nan])
+    def test_tolerance_validated(self, tol):
+        f = smear(parse("(0,1)"), box(1))
+        for route in (eval_density, mixture_expectation):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                route(uniform(0, 1), f, tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            filter_effect_value(escaping_base(2**40), f, 2**40, tol)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            adaptive_simpson(lambda x: x, 0, 1, tol)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            gauss_legendre(lambda x: x, [0, 1], tol)
 
 
 class TestMixtureExpectation:

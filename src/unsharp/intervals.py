@@ -3,9 +3,10 @@
 Endpoints are arbitrary-precision rationals (``fractions.Fraction``); the
 symbols ``-inf``/``inf`` (Python floats) mark unbounded ends, which are always
 open.  An :class:`Interval` is a slotted immutable value, checked once when it
-is built and compared, hashed and pickled as a frozen dataclass would be.  An :class:`IntervalSet` is kept in a canonical form: components sorted,
-pairwise disjoint, and non-adjacent (no two components could be merged into a
-single interval).  Two canonical sets are equal as point sets exactly when
+is built and compared, hashed and pickled as a frozen dataclass would be.  An
+:class:`IntervalSet` is kept in a canonical form: components sorted, pairwise
+disjoint, and non-adjacent (no two components could be merged into a single
+interval).  Two canonical sets are equal as point sets exactly when
 their cut sequences compare equal, so Boolean-algebra laws can be asserted
 with ``==``.
 
@@ -141,11 +142,16 @@ class Interval:
         return start <= (q, 0) < end
 
     def __str__(self) -> str:
-        if self.is_singleton:
-            return "{%s}" % fraction_str(self.lo)
-        lb = "[" if self.lo_closed else "("
-        rb = "]" if self.hi_closed else ")"
-        return f"{lb}{fraction_str(self.lo)}, {fraction_str(self.hi)}{rb}"
+        return _format(self.lo, self.hi, self.lo_closed, self.hi_closed)
+
+
+def _format(lo, hi, lo_closed: bool, hi_closed: bool) -> str:
+    """An interval in the set-expression syntax: "{q}", "(a, b]", ..."""
+    if lo == hi:
+        return "{%s}" % fraction_str(lo)
+    lb = "[" if lo_closed else "("
+    rb = "]" if hi_closed else ")"
+    return f"{lb}{fraction_str(lo)}, {fraction_str(hi)}{rb}"
 
 
 def interval(lo, hi, lo_closed: bool = False, hi_closed: bool = False) -> "IntervalSet":
@@ -324,15 +330,10 @@ class IntervalSet:
         vals, offs = self._vals, self._offs
         if not vals:
             return "empty"
-        parts = []
-        for k in range(0, len(vals), 2):
-            lo, hi = vals[k], vals[k + 1]
-            if lo == hi:
-                parts.append("{%s}" % fraction_str(lo))
-            else:
-                lb, rb = "[("[offs[k]], ")]"[offs[k + 1]]
-                parts.append(f"{lb}{fraction_str(lo)}, {fraction_str(hi)}{rb}")
-        return " | ".join(parts)
+        return " | ".join(
+            _format(vals[k], vals[k + 1], offs[k] == 0, offs[k + 1] == 1)
+            for k in range(0, len(vals), 2)
+        )
 
 
 EMPTY = IntervalSet()

@@ -67,10 +67,10 @@ class Interval:
     def __init__(
         self, lo: Endpoint, hi: Endpoint, lo_closed: bool = False, hi_closed: bool = False
     ):
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "lo_closed", lo_closed)
-        _set(self, "hi_closed", hi_closed)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_lo_closed(self, lo_closed)
+        _set_hi_closed(self, hi_closed)
         self.__post_init__()
 
     def __post_init__(self):
@@ -81,13 +81,13 @@ class Interval:
         if lo.__class__ is not Fraction:
             if not is_infinite(lo):
                 lo = as_fraction(lo)
-                _set(self, "lo", lo)
+                _set_lo(self, lo)
             elif lo != NEG_INF:
                 raise ValueError("lower endpoint may be -inf but not +inf")
         if hi.__class__ is not Fraction:
             if not is_infinite(hi):
                 hi = as_fraction(hi)
-                _set(self, "hi", hi)
+                _set_hi(self, hi)
             elif hi != POS_INF:
                 raise ValueError("upper endpoint may be +inf but not -inf")
         # an infinite end is now -inf below or +inf above, so lo < hi holds
@@ -143,6 +143,13 @@ class Interval:
 
     def __str__(self) -> str:
         return _format(self.lo, self.hi, self.lo_closed, self.hi_closed)
+
+
+# The slots' own setters: they pass by the refusing __setattr__, and cost less
+# than object.__setattr__, which looks the slot up by name on every call.
+_set_lo, _set_hi, _set_lo_closed, _set_hi_closed = (
+    Interval.__dict__[name].__set__ for name in Interval.__slots__
+)
 
 
 def _format(lo, hi, lo_closed: bool, hi_closed: bool) -> str:
@@ -210,10 +217,10 @@ def _keys(s: "IntervalSet") -> tuple:
 def _view(lo, hi, lo_closed: bool, hi_closed: bool) -> Interval:
     """An ``Interval`` made without validation, from trusted endpoints."""
     iv = _new(Interval)
-    _set(iv, "lo", lo)
-    _set(iv, "hi", hi)
-    _set(iv, "lo_closed", lo_closed)
-    _set(iv, "hi_closed", hi_closed)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    _set_lo_closed(iv, lo_closed)
+    _set_hi_closed(iv, hi_closed)
     return iv
 
 

@@ -51,10 +51,6 @@ from .common import NEG_INF, POS_INF, as_fraction, fraction_str, is_infinite
 Endpoint = Union[Fraction, float]
 
 
-_new = object.__new__
-_set = object.__setattr__
-
-
 class Interval:
     """One interval with exact endpoints; an immutable value.
 
@@ -180,6 +176,10 @@ def points(*qs) -> "IntervalSet":
     return IntervalSet.from_intervals(
         Interval(q, q, True, True) for q in map(as_fraction, qs)
     )
+
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _make(vals: tuple, offs: bytes, keys) -> "IntervalSet":

@@ -182,8 +182,12 @@ class TestEvalDensity:
         got = eval_density(uniform(0, 1), f, 1e-12)
         assert abs(got - float(exact)) < 1e-11
 
+    def test_tolerance_validated(self):
+        with pytest.raises(ValueError):
+            eval_density(uniform(0, 1), constant(0), 0)
+
     @pytest.mark.parametrize("tol", [0, -1e-9, math.nan])
-    def test_tolerance_validated(self, tol):
+    def test_every_route_refuses_a_tolerance_not_positive(self, tol):
         f = smear(parse("(0,1)"), box(1))
         for route in (eval_density, mixture_expectation):
             with pytest.raises(ValueError, match="tol must be positive"):

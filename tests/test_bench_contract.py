@@ -9,12 +9,15 @@ pass and check functions.
 
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import unsharp
 import unsharp.cli  # noqa: F401  (the tracer wraps cli.run)
+from unsharp.intervals import Interval, IntervalSet, interval, points
+from unsharp.setexpr import parse_set_expr
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -57,19 +60,12 @@ def test_tracer_targets_resolve_and_uninstall():
 
 
 def test_intervals_built_counts_each_checked_construction():
-    from fractions import Fraction
-
-    from unsharp.intervals import Interval, IntervalSet, interval, points
-    from unsharp.setexpr import parse_set_expr
-
     made = {
         "Interval": lambda: Interval(0, Fraction(1, 2)),
         "interval": lambda: interval(0, 1, True),
         "points": lambda: points(3, 1, 2),
         "literal": lambda: parse_set_expr("[0, 1) | {5, 7} | (2, inf)"),
-        "views": lambda: IntervalSet.from_intervals(
-            (Interval(2, 3), Interval(0, 1))
-        ).components,
+        "views": lambda: IntervalSet.from_intervals((Interval(2, 3), Interval(0, 1))).components,
     }
     expected = {"Interval": 1, "interval": 1, "points": 3, "literal": 4, "views": 2}
     tracer = tracing.Tracer(unsharp).install()

@@ -25,7 +25,6 @@ from .quotient import project
 from .setexpr import parse_density_spec, parse_effect_spec, parse_model_spec, parse_set_expr
 from .states import eval_density, eval_point, filter_effect_value, sharp_probability
 from .common import UNDETERMINED
-from .verify import CRITERIA, run_suite
 
 SEED_ENV_VAR = "UNSHARP_SEED"
 
@@ -279,6 +278,9 @@ def cmd_simulate(args, config) -> int:
 
 
 def cmd_verify(args, config) -> int:
+    # the suites load only here: no other subcommand pays for importing them
+    from .verify import CRITERIA, run_suite
+
     suite = resolve(args, config, "suite", "all")
     if suite == "all":
         keys = None
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--suite",
-        help="suite key or 'all'; keys: " + ", ".join(k for k, _ in CRITERIA),
+        help="suite key, a unique prefix of one, or 'all'; an unknown key lists the keys",
     )
     p.add_argument("--cases", type=int, help="override case count for randomized suites")
 

@@ -1,10 +1,11 @@
-"""Shared primitives: extended-real endpoints, rational coercion, the two
-lowerings of an evaluator, sentinels."""
+"""Shared primitives: extended-real endpoints, rational coercion, the frozen
+value base, the two lowerings of an evaluator, sentinels."""
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
 
@@ -80,7 +81,45 @@ EXACT = Lowering(_keep, _keep, _keep)
 FLOAT = Lowering(float, float_below, float_above)
 
 
-class FloatClosures:
+#: Sets a field of a :class:`Frozen` value past its refusing ``__setattr__``,
+#: as a frozen dataclass's ``__init__`` does.
+set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of immutable values, compared, hashed and shown by the fields named
+    in the class's ``_fields``, as a frozen dataclass would be: equal only to
+    an instance of the same class with equal fields, hashed as the tuple of
+    the fields, and refusing assignment and deletion with
+    ``FrozenInstanceError``.  Each subclass writes its own ``__init__``, which
+    sets the fields through :data:`set_field`."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FloatClosures(Frozen):
     """Base of immutable values that evaluate through one closure builder,
     ``_build(low)``.  Its EXACT closure is cached in ``_exact`` and its FLOAT
     closure in ``_float``; where a parameter lies beyond float range the float

@@ -53,7 +53,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from statistics import NormalDist
@@ -62,10 +61,12 @@ from .common import (
     NEG_INF,
     POS_INF,
     FloatClosures,
+    Frozen,
     as_fraction,
     float_above,
     float_below,
     is_infinite,
+    set_field,
 )
 from .errors import CannotCertify, NotOrthogonal, UnsharpError
 from .intervals import IntervalSet, complement, intersect
@@ -134,16 +135,14 @@ class _Density(FloatClosures):
         return 1 - self._exact(t)
 
 
-@dataclass(frozen=True)
 class BoxDensity(_Density):
     """Uniform density on (lo, hi); total mass 1."""
 
-    lo: Fraction
-    hi: Fraction
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
+    def __init__(self, lo: Fraction, hi: Fraction):
+        set_field(self, "lo", as_fraction(lo))
+        set_field(self, "hi", as_fraction(hi))
 
     @property
     def width(self) -> Fraction:
@@ -208,18 +207,18 @@ class BoxDensity(_Density):
         return f"uniform({self.lo}, {self.hi})"
 
 
-@dataclass(frozen=True)
 class TriangleDensity(_Density):
     """Symmetric triangular density on (-half_width, half_width)."""
 
-    half_width: Fraction
+    _fields = ("half_width",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "half_width", as_fraction(self.half_width))
+    def __init__(self, half_width: Fraction):
+        h = as_fraction(half_width)
         # the float CDF divides by 2 * half_width**2, which must not round to 0.0
-        h2 = 2 * self.half_width * self.half_width
-        if self.half_width <= 0 or h2 < 1 and not float(h2):
+        h2 = 2 * h * h
+        if h <= 0 or h2 < 1 and not float(h2):
             raise ValueError("half_width must be positive, with 2*half_width**2 positive as a float")
+        set_field(self, "half_width", h)
 
     @property
     def mass_radius(self) -> Fraction:
@@ -257,20 +256,19 @@ class TriangleDensity(_Density):
         return f"triangle({self.half_width})"
 
 
-@dataclass(frozen=True)
 class GaussianDensity(_Density):
     """Gaussian density with standard deviation sigma about mean (evaluated in
     floats)."""
 
-    sigma: Fraction
-    mean: Fraction = Fraction(0)
+    _fields = ("sigma", "mean")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", as_fraction(self.mean))
-        object.__setattr__(self, "sigma", as_fraction(self.sigma))
+    def __init__(self, sigma: Fraction, mean: Fraction = Fraction(0)):
+        mean, sigma = as_fraction(mean), as_fraction(sigma)
         # the CDF is computed in floats, where sigma must not round to 0.0
-        if self.sigma <= 0 or self.sigma < 1 and not float(self.sigma):
+        if sigma <= 0 or sigma < 1 and not float(sigma):
             raise ValueError("sigma must be positive as a float")
+        set_field(self, "sigma", sigma)
+        set_field(self, "mean", mean)
 
     @property
     def mass_radius(self) -> None:
@@ -394,14 +392,14 @@ class Effect(FloatClosures):
         return float_above(lo), float_below(hi)
 
 
-@dataclass(frozen=True)
 class Constant(Effect):
-    value: Fraction
+    _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", as_fraction(self.value))
-        if not 0 <= self.value <= 1:
+    def __init__(self, value: Fraction):
+        value = as_fraction(value)
+        if not 0 <= value <= 1:
             raise ValueError("constant effects live in [0, 1]")
+        set_field(self, "value", value)
 
     # each node class keeps value_at in its own __dict__, where
     # bench/tracing.py wraps it to count and time top-level evaluations
@@ -443,7 +441,6 @@ class Constant(Effect):
         return f"const({self.value})"
 
 
-@dataclass(frozen=True)
 class SmearedIndicator(Effect):
     """The indicator of a set convolved with a confidence density.
 
@@ -451,8 +448,11 @@ class SmearedIndicator(Effect):
     set: sum over components of CDF(q - lo) - CDF(q - hi).
     """
 
-    region: IntervalSet
-    density: object
+    _fields = ("region", "density")
+
+    def __init__(self, region: IntervalSet, density):
+        set_field(self, "region", region)
+        set_field(self, "density", density)
 
     @cached_property
     def _pairs(self):
@@ -576,12 +576,14 @@ class SmearedIndicator(Effect):
         return f"smear({self.region}; {self.density.describe()})"
 
 
-@dataclass(frozen=True)
 class OrthoSum(Effect):
     """Pointwise sum of two effects; built only once orthogonality is known."""
 
-    left: Effect
-    right: Effect
+    _fields = ("left", "right")
+
+    def __init__(self, left: Effect, right: Effect):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     value_at = Effect.value_at
 
@@ -642,17 +644,17 @@ class OrthoSum(Effect):
         return f"oplus({self.left.describe()}; {self.right.describe()})"
 
 
-@dataclass(frozen=True)
 class Scaled(Effect):
     """Rational multiple a*f with a in (0, 1]."""
 
-    factor: Fraction
-    inner: Effect
+    _fields = ("factor", "inner")
 
-    def __post_init__(self):
-        object.__setattr__(self, "factor", as_fraction(self.factor))
-        if not 0 < self.factor <= 1:
+    def __init__(self, factor: Fraction, inner: Effect):
+        factor = as_fraction(factor)
+        if not 0 < factor <= 1:
             raise ValueError("scale factor must lie in (0, 1]")
+        set_field(self, "factor", factor)
+        set_field(self, "inner", inner)
 
     value_at = Effect.value_at
 
@@ -711,11 +713,13 @@ class Scaled(Effect):
         return f"scale({self.factor}; {self.inner.describe()})"
 
 
-@dataclass(frozen=True)
 class Complemented(Effect):
     """The complement-in-one, 1 - f."""
 
-    inner: Effect
+    _fields = ("inner",)
+
+    def __init__(self, inner: Effect):
+        set_field(self, "inner", inner)
 
     value_at = Effect.value_at
 
@@ -942,14 +946,18 @@ def _difference_effect(g: Effect, f: Effect) -> Effect:
     return Complemented(OrthoSum(Complemented(g), f))
 
 
-@dataclass(frozen=True)
-class LeqResult:
+class LeqResult(Frozen):
     """Outcome of an ordering check: on success carries the gap effect C with
     f + C = g pointwise; on failure carries a point where f exceeds g."""
 
-    holds: bool
-    witness_effect: Effect | None = None
-    witness_point: float | None = None
+    _fields = ("holds", "witness_effect", "witness_point")
+
+    def __init__(
+        self, holds: bool, witness_effect: Effect | None = None, witness_point: float | None = None
+    ):
+        set_field(self, "holds", holds)
+        set_field(self, "witness_effect", witness_effect)
+        set_field(self, "witness_point", witness_point)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -27,7 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .common import DIVERGENT, NEG_INF, POS_INF, UNDETERMINED, as_fraction, is_infinite
+from .common import (
+    DIVERGENT,
+    NEG_INF,
+    POS_INF,
+    UNDETERMINED,
+    Frozen,
+    as_fraction,
+    is_infinite,
+    set_field,
+)
 from .errors import FmpViolation, ZeroClassError
 from .intervals import Interval, IntervalSet, _make, _view
 from .quotient import UNIT, QuotientClass, _class, project, q_meet
@@ -39,11 +48,13 @@ _OPEN = b"\x01\x00"  # the offsets of one open component
 # families
 
 
-@dataclass(frozen=True)
-class FiniteFamily:
+class FiniteFamily(Frozen):
     """Explicit list of classes; meets are computed by folding."""
 
-    classes: tuple
+    _fields = ("classes",)
+
+    def __init__(self, classes: tuple):
+        set_field(self, "classes", classes)
 
     @property
     def size(self) -> int:
@@ -70,18 +81,18 @@ class FiniteFamily:
         return "{" + ", ".join(str(c) for c in self.classes) + "}"
 
 
-@dataclass(frozen=True)
-class NeighborhoodFamily:
+class NeighborhoodFamily(Frozen):
     """Nested chain of shrinking symmetric neighborhoods of a point:
     element n is the class of (center - 1/n, center + 1/n)."""
 
-    center: Fraction
-    size: int
+    _fields = ("center", "size")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_fraction(self.center))
-        if self.size < 1:
+    def __init__(self, center: Fraction, size: int):
+        center = as_fraction(center)
+        if size < 1:
             raise ValueError("family size must be at least 1")
+        set_field(self, "center", center)
+        set_field(self, "size", size)
 
     def element(self, n: int) -> QuotientClass:
         if not 1 <= n <= self.size:
@@ -100,19 +111,19 @@ class NeighborhoodFamily:
         return f"neighborhoods of {self.center} (depth {self.size})"
 
 
-@dataclass(frozen=True)
-class TailFamily:
+class TailFamily(Frozen):
     """Nested chain of escaping tails: element n is the class of (n, inf)
     for direction +1, of (-inf, -n) for direction -1."""
 
-    size: int
-    direction: int = 1
+    _fields = ("size", "direction")
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int, direction: int = 1):
+        if size < 1:
             raise ValueError("family size must be at least 1")
-        if self.direction not in (1, -1):
+        if direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
+        set_field(self, "size", size)
+        set_field(self, "direction", direction)
 
     def element(self, n: int) -> QuotientClass:
         if not 1 <= n <= self.size:
@@ -219,18 +230,20 @@ def escaping_base(depth: int, direction: int = 1) -> FilterBase:
 # finite meet property certification
 
 
-@dataclass(frozen=True)
-class FmpCertificate:
+class FmpCertificate(Frozen):
     """Outcome of a finite-meet-property check.
 
     ``witnesses`` holds, for each checked truncation depth, one open interval
     contained in that meet.  On failure ``offender`` describes the zero meet.
     """
 
-    ok: bool
-    depth: int
-    witnesses: tuple = ()
-    offender: str | None = None
+    _fields = ("ok", "depth", "witnesses", "offender")
+
+    def __init__(self, ok: bool, depth: int, witnesses: tuple = (), offender: str | None = None):
+        set_field(self, "ok", ok)
+        set_field(self, "depth", depth)
+        set_field(self, "witnesses", witnesses)
+        set_field(self, "offender", offender)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -327,8 +340,7 @@ def adjoin(base: FilterBase, x: QuotientClass, k: int | None = None) -> FilterBa
 # executable witnesses
 
 
-@dataclass(frozen=True)
-class DisjointFamily:
+class DisjointFamily(Frozen):
     """The m-th member of a countable family of open sets, pairwise disjoint
     across m, each with the anchor point in its closure.
 
@@ -342,13 +354,14 @@ class DisjointFamily:
     and those are separated exactly by the 2^-m vs 2^-(m+1) offsets.
     """
 
-    center: Fraction
-    m: int
+    _fields = ("center", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_fraction(self.center))
-        if self.m < 1:
+    def __init__(self, center: Fraction, m: int):
+        center = as_fraction(center)
+        if m < 1:
             raise ValueError("family index m must be at least 1")
+        set_field(self, "center", center)
+        set_field(self, "m", m)
 
     def _ends(self, ns) -> list:
         """The endpoints lo, hi, lo, hi, ... of the components n in ``ns``."""

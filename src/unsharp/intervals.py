@@ -42,23 +42,22 @@ them, so every result is exact: no rounding anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .common import NEG_INF, POS_INF, as_fraction, fraction_str, is_infinite
+from .common import NEG_INF, POS_INF, Frozen, as_fraction, fraction_str, is_infinite, set_field
 
 Endpoint = Union[Fraction, float]
 
 
-class Interval:
+class Interval(Frozen):
     """One interval with exact endpoints; an immutable value.
 
     Invariants: ``lo <= hi``; infinite endpoints are open; if ``lo == hi``
     both ends are closed (a singleton point).
     """
 
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+    __slots__ = _fields = ("lo", "hi", "lo_closed", "hi_closed")
 
     def __init__(
         self, lo: Endpoint, hi: Endpoint, lo_closed: bool = False, hi_closed: bool = False
@@ -97,28 +96,6 @@ class Interval:
             raise ValueError(f"malformed interval: lo {lo} > hi {hi}")
         elif not (self.lo_closed and self.hi_closed):
             raise ValueError("a zero-width interval must be closed on both ends")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi, self.lo_closed, self.hi_closed) == (
-            other.lo, other.hi, other.lo_closed, other.hi_closed
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.lo_closed, self.hi_closed))
-
-    def __repr__(self) -> str:
-        return (
-            f"{self.__class__.__qualname__}(lo={self.lo!r}, hi={self.hi!r}, "
-            f"lo_closed={self.lo_closed!r}, hi_closed={self.hi_closed!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return _view, (self.lo, self.hi, self.lo_closed, self.hi_closed)
@@ -179,17 +156,16 @@ def points(*qs) -> "IntervalSet":
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _make(vals: tuple, offs: bytes, keys) -> "IntervalSet":
     """Trusted constructor: ``vals``/``offs`` must already be a canonical cut
     sequence, and ``keys`` its float keys or None."""
     s = _new(IntervalSet)
-    _set(s, "_vals", vals)
-    _set(s, "_offs", offs)
-    _set(s, "_keys", keys)
-    _set(s, "_components", None)
+    set_field(s, "_vals", vals)
+    set_field(s, "_offs", offs)
+    set_field(s, "_keys", keys)
+    set_field(s, "_components", None)
     return s
 
 
@@ -210,7 +186,7 @@ def _keys(s: "IntervalSet") -> tuple:
     keys = s._keys
     if keys is None:
         keys = tuple(map(_key, s._vals))
-        _set(s, "_keys", keys)
+        set_field(s, "_keys", keys)
     return keys
 
 
@@ -224,12 +200,13 @@ def _view(lo, hi, lo_closed: bool, hi_closed: bool) -> Interval:
     return iv
 
 
-class IntervalSet:
+class IntervalSet(Frozen):
     """Canonical finite union of intervals, stored as its cut sequence.
 
     Construct through :meth:`from_intervals` (which normalizes any collection
     of intervals) or the module-level builders; the raw constructor insists
-    that the components already are canonical.  Instances are immutable.
+    that the components already are canonical.  Instances are immutable;
+    equality, hash and repr read the cut sequence, not fields.
     """
 
     __slots__ = ("_vals", "_offs", "_keys", "_components")
@@ -249,10 +226,10 @@ class IntervalSet:
             vals += (start[0], end[0])
             offs += (start[1], end[1])
             prev_end = end
-        _set(self, "_vals", tuple(vals))
-        _set(self, "_offs", bytes(offs))
-        _set(self, "_keys", None)
-        _set(self, "_components", comps)
+        set_field(self, "_vals", tuple(vals))
+        set_field(self, "_offs", bytes(offs))
+        set_field(self, "_keys", None)
+        set_field(self, "_components", comps)
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[Interval]) -> "IntervalSet":
@@ -288,18 +265,12 @@ class IntervalSet:
                 _view(vals[k], vals[k + 1], offs[k] == 0, offs[k + 1] == 1)
                 for k in range(0, len(vals), 2)
             )
-            _set(self, "_components", comps)
+            set_field(self, "_components", comps)
         return comps
 
     @property
     def is_empty(self) -> bool:
         return not self._vals
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return _make, (self._vals, self._offs, None)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import NEG_INF, POS_INF, UNDETERMINED, as_fraction
+from .common import NEG_INF, POS_INF, UNDETERMINED, Frozen, as_fraction, set_field
 from .effects import evaluate, smear
 from .errors import UnsharpError
 from .filters import adjoin, neighborhood_base
@@ -30,15 +29,15 @@ from .states import eval_point, eval_sharp, filter_effect_value, ppf
 _FMP_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class PrecisionScheme:
+class PrecisionScheme(Frozen):
     """Dyadic partition of the line at level n; cell diameter 2^-n."""
 
-    level: int
+    _fields = ("level",)
 
-    def __post_init__(self):
-        if self.level < 0:
+    def __init__(self, level: int):
+        if level < 0:
             raise ValueError("level must be nonnegative")
+        set_field(self, "level", level)
 
     @property
     def diameter(self) -> Fraction:
@@ -77,14 +76,17 @@ def sample(d, count: int, seed: int) -> list:
     return [ppf(d, u) for u in uniforms(seed, count)]
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Histogram of one finite-precision measurement run."""
+class MeasurementRecord(Frozen):
+    """Histogram of one finite-precision measurement run; ``counts`` holds
+    the sorted (cell_index, count) pairs."""
 
-    seed: int
-    level: int
-    counts: tuple  # sorted (cell_index, count) pairs
-    total: int
+    _fields = ("seed", "level", "counts", "total")
+
+    def __init__(self, seed: int, level: int, counts: tuple, total: int):
+        set_field(self, "seed", seed)
+        set_field(self, "level", level)
+        set_field(self, "counts", counts)
+        set_field(self, "total", total)
 
     def as_dict(self) -> dict:
         return dict(self.counts)
@@ -108,13 +110,16 @@ def run_protocol(d, n: int, count: int, seed: int) -> MeasurementRecord:
     )
 
 
-@dataclass(frozen=True)
-class ScoreSheet:
-    """Per-throw record of a score-keeping device: y/n symbols and totals."""
+class ScoreSheet(Frozen):
+    """Per-throw record of a score-keeping device: y/n symbols and totals;
+    ``log`` holds (value, "y" | "n") per throw."""
 
-    y_count: int
-    n_count: int
-    log: tuple  # (value, "y" | "n") per throw
+    _fields = ("y_count", "n_count", "log")
+
+    def __init__(self, y_count: int, n_count: int, log: tuple):
+        set_field(self, "y_count", y_count)
+        set_field(self, "n_count", n_count)
+        set_field(self, "log", log)
 
     @property
     def throws(self) -> int:
@@ -144,30 +149,43 @@ def scorekeeper(s: IntervalSet, e, throws, seed: int) -> ScoreSheet:
     return ScoreSheet(y_count=y, n_count=len(log) - y, log=tuple(log))
 
 
-@dataclass(frozen=True)
-class EffectRow:
-    label: str
-    value_right: object  # value along the base with the right half-line
-    value_left: object
-    point_value: float
-    max_deviation: float | None
+class EffectRow(Frozen):
+    """One effect of a report: its value along the base adjoined with the
+    right half-line (``value_right``), with the left one, and at the point,
+    and the larger distance of the two base values from the point value
+    (None when either is undetermined)."""
+
+    _fields = ("label", "value_right", "value_left", "point_value", "max_deviation")
+
+    def __init__(
+        self, label: str, value_right, value_left, point_value: float, max_deviation: float | None
+    ):
+        set_field(self, "label", label)
+        set_field(self, "value_right", value_right)
+        set_field(self, "value_left", value_left)
+        set_field(self, "point_value", point_value)
+        set_field(self, "max_deviation", max_deviation)
 
     @property
     def undetermined(self) -> bool:
         return self.value_right is UNDETERMINED or self.value_left is UNDETERMINED
 
 
-@dataclass(frozen=True)
-class IndistinguishabilityReport:
+class IndistinguishabilityReport(Frozen):
     """Two bases converging to the same point disagree on a sharp half-line
     question yet agree with the point state on every unsharp question."""
 
-    center: Fraction
-    sharp_question: str
-    sharp_right: object
-    sharp_left: object
-    rows: tuple
-    tol: float
+    _fields = ("center", "sharp_question", "sharp_right", "sharp_left", "rows", "tol")
+
+    def __init__(
+        self, center: Fraction, sharp_question: str, sharp_right, sharp_left, rows: tuple, tol: float
+    ):
+        set_field(self, "center", center)
+        set_field(self, "sharp_question", sharp_question)
+        set_field(self, "sharp_right", sharp_right)
+        set_field(self, "sharp_left", sharp_left)
+        set_field(self, "rows", rows)
+        set_field(self, "tol", tol)
 
     @property
     def sharp_split(self) -> bool:

@@ -9,9 +9,7 @@ form, class equality is a syntactic check on representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .common import as_fraction, is_infinite
+from .common import Frozen, as_fraction, is_infinite, set_field
 from .errors import ZeroClassError
 from .intervals import (
     EMPTY,
@@ -27,19 +25,19 @@ from .intervals import (
 )
 
 
-@dataclass(frozen=True)
-class QuotientClass:
+class QuotientClass(Frozen):
     """A class of sets agreeing up to measure zero, by its open-canonical rep."""
 
-    rep: IntervalSet
+    _fields = ("rep",)
 
-    def __post_init__(self):
-        vals, offs = self.rep._vals, self.rep._offs
+    def __init__(self, rep: IntervalSet):
+        vals, offs = rep._vals, rep._offs
         for k in range(0, len(vals), 2):
             if offs[k : k + 2] != b"\x01\x00":
                 raise ValueError("representative components must be open")
             if k and vals[k] <= vals[k - 1]:
                 raise ValueError("representative gaps must have positive length")
+        set_field(self, "rep", rep)
 
     @property
     def is_zero(self) -> bool:
@@ -77,7 +75,7 @@ def project(s: IntervalSet) -> QuotientClass:
 def _class(rep: IntervalSet) -> QuotientClass:
     """Trusted constructor: ``rep`` must already be open-canonical."""
     x = object.__new__(QuotientClass)
-    object.__setattr__(x, "rep", rep)
+    set_field(x, "rep", rep)
     return x
 
 

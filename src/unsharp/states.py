@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from statistics import NormalDist
@@ -52,6 +51,7 @@ from .common import (
     FloatClosures,
     as_fraction,
     is_infinite,
+    set_field,
 )
 from .effects import BoxDensity, Effect, GaussianDensity, effect_range_on, evaluate, range_stays_wide
 from .filters import FilterBase, doubling_depths
@@ -68,16 +68,14 @@ _ZERO = Fraction(0)
 # density models
 
 
-@dataclass(frozen=True)
 class Mixture(FloatClosures):
     """Finite convex mixture of box and Gaussian densities; weights are exact
     and sum to one."""
 
-    parts: tuple
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple((as_fraction(w), comp) for w, comp in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple):
+        parts = tuple((as_fraction(w), comp) for w, comp in parts)
         if not parts:
             raise ValueError("mixture needs at least one part")
         for w, comp in parts:
@@ -87,6 +85,7 @@ class Mixture(FloatClosures):
                 raise TypeError("mixture parts must be uniform or normal models")
         if sum(w for w, _ in parts) != 1:
             raise ValueError("mixture weights must sum to exactly 1")
+        set_field(self, "parts", parts)
 
     def _build(self, low):
         """The CDF at finite x: one flat loop over the parts' ``_cdf_term``

@@ -14,6 +14,7 @@ from unsharp.common import DEFAULT_SEED
 from unsharp.effects import constant, gaussian, smear
 from unsharp.setexpr import parse_set_expr
 from unsharp.states import Mixture, normal, uniform
+from unsharp.verify import CRITERIA
 
 
 def run_capture(argv, capsys):
@@ -283,8 +284,10 @@ class TestVerifyCommand:
         assert out.startswith("PASS")
 
     def test_unknown_suite(self, capsys):
+        # the help text no longer lists the keys, so the error must
         code, _, err = run_capture(["verify", "--suite", "nope"], capsys)
         assert code == 1 and "unknown" in err
+        assert all(key in err for key, _ in CRITERIA)
 
     @pytest.mark.parametrize("cases", ["0", "-5"])
     def test_cases_must_be_positive(self, capsys, cases):

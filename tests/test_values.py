@@ -2,9 +2,13 @@
 equality, hash, repr, frozenness and round trips through pickle and copy."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +242,14 @@ def test_pickle_and_copy(name):
         if query is not None:
             assert repr(query(twin)) == repr(answer)
 
+
+def test_importing_the_cli_leaves_verify_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, unsharp.cli; print('unsharp.verify' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

@@ -77,6 +77,8 @@ def adaptive_simpson_pieces(f, knots, tol: float) -> float:
     """Integrate across the sorted breakpoints in ``knots`` (length >= 2),
     splitting the budget proportionally to panel width; a share that
     underflows to 0.0 is the smallest positive float instead."""
+    if not tol > 0:  # checked here: a share of 0 would become positive
+        raise ValueError("tolerance must be positive")
     knots = [float(k) for k in knots]
     total_width = knots[-1] - knots[0]
     if total_width <= 0:

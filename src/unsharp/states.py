@@ -92,11 +92,17 @@ class Mixture(FloatClosures):
         tuples, with each shape's formula written inline."""
         terms = [(w, low.num(w), *c._cdf_term(low)) for w, c in self.parts]
         erf = math.erf
+        # w * 0 and w * 1 stay exact until the total turns float, and a float
+        # total adds them as float(w * 0) == 0.0 and float(w) == fw.  A
+        # Gaussian term always turns it float, so where at most one part comes
+        # before the first one, a 0.0 start gives the same bits and type: one
+        # exact term t reaches the float total as float(t) either way.  Two
+        # would round once as an exact sum but twice as floats.
+        gaussians = [i for i, term in enumerate(terms) if term[2] is None]
+        start = 0.0 if gaussians and gaussians[0] <= 1 else 0
 
         def cdf(x):
-            # w * 0 and w * 1 stay exact until the total turns float, and a
-            # float total adds them as float(w * 0) == 0.0 and float(w) == fw
-            total = 0
+            total = start
             for w, fw, below, above, shift, spread in terms:
                 if below is None:
                     total = total + fw * (0.5 * (1.0 + erf((x - shift) / spread / _SQRT2)))

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from unsharp import states
 
-from unsharp.common import UNDETERMINED
+from unsharp.common import EXACT, FLOAT, UNDETERMINED, float_above, float_below
 from unsharp.effects import BoxDensity, GaussianDensity, box, constant, evaluate, gaussian, leq, neg, oplus, scale, smear, triangle
 from unsharp.filters import adjoin, disjoint_family, doubling_depths, escaping_base, filter_base, neighborhood_base
 from unsharp.intervals import interval, points
-from unsharp.quadrature import adaptive_simpson, gauss_legendre
+from unsharp.quadrature import adaptive_simpson, adaptive_simpson_pieces, gauss_legendre
 from unsharp.quotient import ZERO, point_membership_state, project
 from unsharp.rng import substream_seed
-from unsharp.setexpr import parse_set_expr as parse
+from unsharp.setexpr import parse_model_spec, parse_set_expr as parse
 from unsharp.verify import Draw, _random_effect
 from unsharp.states import (
     Mixture,
@@ -196,6 +196,8 @@ class TestEvalDensity:
             filter_effect_value(escaping_base(2**40), f, 2**40, tol)
         with pytest.raises(ValueError, match="tolerance must be positive"):
             adaptive_simpson(lambda x: x, 0, 1, tol)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            adaptive_simpson_pieces(lambda x: x, [0, 1], tol)
         with pytest.raises(ValueError, match="tolerance must be positive"):
             gauss_legendre(lambda x: x, [0, 1], tol)
 
@@ -481,6 +483,71 @@ def _count_cdf(monkeypatch):
 
 
 _BOARD = mixture((Fraction(3, 4), normal(0, HALF)), (Fraction(1, 4), uniform(1, 2)))
+
+
+def _exact_start_cdf(d, low, start=0):
+    """The mixture CDF loop with the running total started at ``start``: at
+    the exact 0 it is the loop as it was before the 0.0 start."""
+    terms = [(w, low.num(w), *c._cdf_term(low)) for w, c in d.parts]
+
+    def value(x):
+        total = start
+        for w, fw, below, above, shift, spread in terms:
+            if below is None:
+                total = total + fw * (0.5 * (1.0 + math.erf((x - shift) / spread / math.sqrt(2.0))))
+            elif x <= below:
+                total = total + 0.0 if total.__class__ is float else total + Fraction(0)
+            elif x >= above:
+                total = total + fw if total.__class__ is float else total + w
+            else:
+                total = total + fw * ((x - shift) / spread)
+        return total
+
+    return value
+
+
+_CDF_MODELS = {
+    "no-gaussian": "mix(1/3*uniform(-1/3, 1/10); 2/3*uniform(1/2, 3))",
+    "gaussian-first": "mix(1/2*gaussian(0, 1); 1/4*uniform(0, 1); 1/4*uniform(2, 5/2))",
+    "one-box-first": "mix(1/3*uniform(-1/3, 1/10); 2/3*gaussian(1/7, 1/3))",
+    "two-boxes-first": "mix(1/10*uniform(0, 1); 1/5*uniform(2, 3); 7/10*gaussian(0, 1))",
+    "box-between": "mix(1/5*uniform(0, 1/3); 3/5*gaussian(1, 1/2); 1/5*uniform(1/10, 7))",
+}
+
+
+def _probes(d):
+    """Points below, inside, at the ends of and above each box part, as
+    Fractions and as the floats nearest them on either side."""
+    exact = set()
+    for _, c in d.parts:
+        if isinstance(c, BoxDensity):
+            exact.update((c.lo - 1, c.lo, (c.lo + c.hi) / 2, c.hi, c.hi + 1))
+    exact.update((Fraction(5), Fraction(-3, 7)))
+    floats = {g(q) for q in exact for g in (float, float_below, float_above)}
+    return sorted(exact), sorted(floats)
+
+
+class TestMixtureCdfStart:
+    """The float start of the mixture CDF's running total moves no bit and no
+    type of any answer, under either lowering."""
+
+    @pytest.mark.parametrize("name", sorted(_CDF_MODELS))
+    def test_same_bits_and_types_as_the_exact_start(self, name):
+        d = parse_model_spec(_CDF_MODELS[name])
+        exact, floats = _probes(d)
+        cases = [(EXACT, x) for x in exact + floats] + [(FLOAT, x) for x in floats]
+        for low, x in cases:
+            got = d._closure(low)(x)
+            want = _exact_start_cdf(d, low)(x)
+            assert (type(got), repr(got)) == (type(want), repr(want)), (low, x)
+        if name != "no-gaussian":  # a Gaussian part makes every answer float
+            assert all(cdf(d, x).__class__ is float for x in exact + floats)
+
+    def test_two_boxes_before_the_gaussian_keep_the_exact_start(self):
+        # float(1/10 + 1/5) != 0.1 + 0.2, so a 0.0 start would move the last bit
+        d = parse_model_spec(_CDF_MODELS["two-boxes-first"])
+        assert cdf(d, 5.0) == _exact_start_cdf(d, FLOAT)(5.0)
+        assert cdf(d, 5.0) != _exact_start_cdf(d, FLOAT, start=0.0)(5.0)
 
 
 class TestPpf:

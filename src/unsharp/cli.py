@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .common import DEFAULT_SEED, as_fraction, float_str, fraction_str
 from .effects import evaluate, smear
@@ -194,17 +195,21 @@ def cmd_smear(args, config) -> int:
         raise UnsharpError("smear needs --set, --density, and --param")
     density = parse_density_spec(f"{density_name}({param})")
     f = smear(parse_set_expr(set_text), density)
-    q = as_fraction(resolve(args, config, "from", "-2"))
+    start = as_fraction(resolve(args, config, "from", "-2"))
     stop = as_fraction(resolve(args, config, "to", "2"))
     step = as_fraction(resolve(args, config, "step", "1/10"))
     if step <= 0:
         raise UnsharpError("step must be positive")
+    # the grid start + k step up to stop, walked as integers n over one D
+    D = lcm(start.denominator, step.denominator)
+    first, inc = (start * D).numerator, (step * D).numerator
+    last = stop.numerator * D // stop.denominator  # the largest n with n / D <= stop
     rows = ["q,value"]
-    while q <= stop:
+    for n in range(first, last + 1, inc):
+        q = Fraction(n, D)
         v = evaluate(f, q)
         v_text = fraction_str(v) if isinstance(v, (Fraction, int)) else float_str(v)
         rows.append(f"{fraction_str(q)},{v_text}")
-        q += step
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import cached_property
 
@@ -112,10 +111,16 @@ class Frozen:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({inner})"
 
+    # FrozenInstanceError is imported when raised, so that importing the
+    # package loads neither dataclasses nor the inspect module it imports
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -176,6 +181,11 @@ class _Sentinel:
 
     def __bool__(self) -> bool:
         return False
+
+    def __reduce__(self) -> str:
+        # the module-level name, the repr in capitals: pickle and copy give
+        # back the sentinel itself
+        return self._name.upper()
 
 
 #: Returned when a partial sharp state cannot decide a question.  A result,

@@ -19,6 +19,13 @@ EXACT closure would give it, including the int 0 or 1 or exact Fraction of a
 branch that yields one.  Each closure is built once per instance from the
 children's closures under the same lowering and cached.
 
+A box or triangle smear answers exact queries through an integer form
+instead: its endpoints and detector are scaled once to integers over one
+common denominator, each query sums the detector's integer CDF numerators,
+and one Fraction is built from the sum.  The ``_build(low)`` formula still
+serves FLOAT queries and Gaussian detectors, and it is the reference the
+integer form is tested against, value and type.
+
 Effects form expression trees over smear and constant leaves with three node
 kinds: orthosum (built only after certifying the pointwise sum stays below
 one), rational scaling, and complement-in-one.  Every tree caches a certified
@@ -58,6 +65,7 @@ from functools import cached_property
 from statistics import NormalDist
 
 from .common import (
+    EXACT,
     NEG_INF,
     POS_INF,
     FloatClosures,
@@ -134,6 +142,11 @@ class _Density(FloatClosures):
             return 0
         return 1 - self._exact(t)
 
+    #: The CDF in integers, for the densities whose CDF is a piecewise
+    #: polynomial with rational coefficients (a box and a triangle): see
+    #: :meth:`BoxDensity._int_cdf`.
+    _int_cdf = None
+
 
 class BoxDensity(_Density):
     """Uniform density on (lo, hi); total mass 1."""
@@ -175,6 +188,16 @@ class BoxDensity(_Density):
             return (x - lo) / w
 
         return cdf
+
+    def _int_cdf(self, D: int):
+        """The CDF in integers over the grid 1/D, for a D that clears the
+        denominators of the fields: ``(left, span, den, num)``.  The support
+        is [left, left + span] in units of 1/D.  In units of 1/(k D), for an
+        integer k >= 1, with s = k span, a point Y units right of the
+        support's left end has CDF 0 for Y <= 0, 1 for Y >= s, and
+        num(Y, s) / den(s) in between.  For a box, den(s) = s (the width W
+        in units of 1/(k D)) and num(Y, s) = Y."""
+        return (self.lo * D).numerator, (self.width * D).numerator, _box_den, _box_num
 
     def knots(self):
         return (self.lo, self.hi)
@@ -247,6 +270,13 @@ class TriangleDensity(_Density):
             return 1 - (h - x) * (h - x) / h2
 
         return cdf
+
+    def _int_cdf(self, D: int):
+        """The integer form of :meth:`BoxDensity._int_cdf`, with support
+        [-H, H] for H = half_width D: den(s) = s**2 / 2, which is 2 (k H)**2,
+        and num(Y, s) = Y**2 up to the centre, den(s) - (s - Y)**2 past it."""
+        H = (self.half_width * D).numerator
+        return -H, 2 * H, _triangle_den, _triangle_num
 
     def knots(self):
         h = self.half_width
@@ -335,6 +365,22 @@ class GaussianDensity(_Density):
 
     def model_text(self) -> str:
         return f"gaussian({self.mean}, {self.sigma})"
+
+
+def _box_den(s):
+    return s
+
+
+def _box_num(Y, s):
+    return Y
+
+
+def _triangle_den(s):
+    return s * s >> 1
+
+
+def _triangle_num(Y, s):
+    return Y * Y if 2 * Y <= s else (s * s >> 1) - (s - Y) * (s - Y)
 
 
 def box(width) -> BoxDensity:
@@ -486,6 +532,63 @@ class SmearedIndicator(Effect):
                 lower = 0 if b is None else cdf(q - b)
                 total = total + (upper - lower)
             return total
+
+        return value
+
+    @cached_property
+    def _exact(self):
+        """The EXACT closure; for a box or triangle detector it sums integers.
+
+        The finite endpoints and the detector's fields are scaled once to
+        integers over D, the lcm of all their denominators.  A query n/m is
+        lifted to the grid 1/(k D), with k D = lcm(D, m); each CDF term is the
+        integer numerator of the detector's :meth:`~BoxDensity._int_cdf` over
+        one common denominator, and one Fraction is built at the end.  That
+        gives the value of the ``_build(EXACT)`` closure, and its type: the
+        int 0 or 1 when every CDF term took its 0 or 1 branch, else a
+        Fraction.  A query without ``numerator`` and ``denominator`` (a float
+        where a parameter is beyond float range) takes ``_build(EXACT)``."""
+        generic = self._build(EXACT)
+        int_cdf = self.density._int_cdf
+        if int_cdf is None:
+            return generic
+        # the fields count even when no endpoint is finite
+        D = math.lcm(*[t.denominator for t in self._finite_endpoints + self.density._astuple()])
+        left, span, den_of, num = int_cdf(D)
+        pairs = tuple(
+            tuple(None if is_infinite(t) else (t * D).numerator + left for t in pair)
+            for pair in self._pairs
+        )
+        gcd = math.gcd
+
+        def value(q):
+            try:
+                n, m = q.numerator, q.denominator
+            except AttributeError:
+                return generic(q)
+            g = gcd(D, m)
+            k = m // g
+            X, s = n * (D // g), k * span
+            den = den_of(s)
+            total, interior = 0, False
+            for a, b in pairs:
+                if a is None:
+                    total += den
+                else:
+                    Y = X - k * a
+                    if Y >= s:
+                        total += den
+                    elif Y > 0:
+                        total += num(Y, s)
+                        interior = True
+                if b is not None:
+                    Y = X - k * b
+                    if Y >= s:
+                        total -= den
+                    elif Y > 0:
+                        total -= num(Y, s)
+                        interior = True
+            return Fraction(total, den) if interior else total // den
 
         return value
 

@@ -15,8 +15,8 @@ finite and explicit by design.
 A base keeps the last :class:`FmpCertificate` that :func:`has_fmp` computed
 for it, so the certificate :func:`adjoin` makes for the base it returns is
 handed back when the caller asks for the same depth.  Both caches live
-outside the dataclass fields: :func:`dataclasses.replace` and a further
-:func:`adjoin` build bases without them.  Every backbone family is nested
+outside the fields: :meth:`FilterBase.replace` and a further :func:`adjoin`
+build bases without them.  Every backbone family is nested
 (the meet of its first k elements shrinks with k), so :func:`has_fmp` meets
 each deeper backbone truncation with the previous meet, a smaller set than
 the adjoined meet, and gets the same classes.
@@ -24,7 +24,6 @@ the adjoined meet, and gets the same classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .common import (
@@ -148,8 +147,7 @@ class TailFamily(Frozen):
 # filter bases
 
 
-@dataclass(frozen=True)
-class FilterBase:
+class FilterBase(Frozen):
     """A certified family of nonzero classes with the finite meet property.
 
     ``family`` is the backbone (finite or generated chain); ``adjoined``
@@ -160,10 +158,22 @@ class FilterBase:
     ``__dict__``, never in a field.
     """
 
-    family: object
-    adjoined: tuple = ()
-    certified_depth: int = 0
-    tag: Fraction | None = None
+    _fields = ("family", "adjoined", "certified_depth", "tag")
+
+    def __init__(
+        self, family, adjoined: tuple = (), certified_depth: int = 0, tag: Fraction | None = None
+    ):
+        set_field(self, "family", family)
+        set_field(self, "adjoined", adjoined)
+        set_field(self, "certified_depth", certified_depth)
+        set_field(self, "tag", tag)
+
+    def replace(self, **changes) -> FilterBase:
+        """A new base with the given fields changed and the others kept; it
+        starts with no cached meet or certificate."""
+        fields = {name: getattr(self, name) for name in self._fields}
+        fields.update(changes)
+        return FilterBase(**fields)
 
     @property
     def size(self) -> int:
@@ -176,7 +186,7 @@ class FilterBase:
             acc = UNIT
             for c in self.adjoined:
                 acc = q_meet(acc, c)
-            object.__setattr__(self, "_adjoined_meet", acc)
+            set_field(self, "_adjoined_meet", acc)
         return acc
 
     def truncated_meet(self, k: int) -> QuotientClass:
@@ -285,7 +295,7 @@ def has_fmp(base: FilterBase, k: int) -> FmpCertificate:
     cert = base.__dict__.get("_fmp")
     if cert is None or cert.depth != k:
         cert = _check_fmp(base, k)
-        object.__setattr__(base, "_fmp", cert)
+        set_field(base, "_fmp", cert)
     return cert
 
 
@@ -329,7 +339,7 @@ def adjoin(base: FilterBase, x: QuotientClass, k: int | None = None) -> FilterBa
         raise FmpViolation("cannot adjoin the zero class", offenders=(x,))
     if k is None:
         k = max(base.certified_depth, 1)
-    result = replace(base, adjoined=base.adjoined + (x,), certified_depth=k)
+    result = base.replace(adjoined=base.adjoined + (x,), certified_depth=k)
     cert = has_fmp(result, k)
     if not cert.ok:
         raise FmpViolation(cert.offender or "finite meet property fails", offenders=(x,))

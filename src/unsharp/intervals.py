@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .common import NEG_INF, POS_INF, Frozen, as_fraction, fraction_str, is_infinite, set_field
@@ -412,14 +413,19 @@ def complement(a: IntervalSet) -> IntervalSet:
 
 
 def measure(a: IntervalSet):
-    """Lebesgue measure: exact rational, or ``inf`` if any component is unbounded."""
+    """Lebesgue measure: exact rational, or ``inf`` if any component is unbounded.
+
+    The component lengths are summed as integers over D, the lcm of the
+    endpoints' denominators, and one Fraction is built from the sum."""
     vals = a._vals
     if vals and (is_infinite(vals[0]) or is_infinite(vals[-1])):
         return POS_INF
-    total = Fraction(0)
+    D = lcm(*[v.denominator for v in vals])
+    total = 0
     for k in range(0, len(vals), 2):
-        total += vals[k + 1] - vals[k]
-    return total
+        lo, hi = vals[k], vals[k + 1]
+        total += hi.numerator * (D // hi.denominator) - lo.numerator * (D // lo.denominator)
+    return Fraction(total, D)
 
 
 def membership(q, a: IntervalSet) -> bool:

@@ -1,18 +1,23 @@
 """CLI surface: subcommands, exit codes, config plumbing, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unsharp.cli import build_parser, parse_effect_spec, parse_model_spec, run
-from unsharp.common import DEFAULT_SEED
-from unsharp.effects import constant, gaussian, smear
-from unsharp.setexpr import parse_set_expr
+from unsharp.common import DEFAULT_SEED, float_str, fraction_str
+from unsharp.effects import constant, evaluate, gaussian, smear
+from unsharp.setexpr import parse_density_spec, parse_set_expr
 from unsharp.states import Mixture, normal, uniform
 from unsharp.verify import CRITERIA
 
@@ -196,6 +201,40 @@ class TestSmearCommand:
         )
         assert code == 0
         assert out.splitlines() == ["q,value", "-1,0", "-1/2,0", "0,1/2", "1/2,1", "1,1"]
+
+
+def _smear_rows_by_steps(set_text, density, param, start, stop, step):
+    """The smear table as a q += step loop on Fractions: the reference for the
+    integer grid walk."""
+    f = smear(parse_set_expr(set_text), parse_density_spec(f"{density}({param})"))
+    rows, q = ["q,value"], start
+    while q <= stop:
+        v = evaluate(f, q)
+        v_text = fraction_str(v) if isinstance(v, (Fraction, int)) else float_str(v)
+        rows.append(f"{fraction_str(q)},{v_text}")
+        q += step
+    return rows
+
+
+_ends = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["(0,inf)", "(-1, 1/3) | [2, 5/2]", "R", "{1/2} | (1,2)"]),
+    st.sampled_from([("box", "2/3"), ("triangle", "1/2"), ("gaussian", "1/4")]),
+    _ends,
+    _ends,
+    st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=15),
+)
+def test_smear_rows_equal_the_stepping_loop(set_text, detector, start, stop, step):
+    argv = ["smear", "--set", set_text, "--density", detector[0], "--param", detector[1]]
+    # "--to=-1/2": argparse would read a bare "-1/2" as an option
+    argv += [f"--from={start}", f"--to={stop}", f"--step={step}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    assert out.getvalue().splitlines() == _smear_rows_by_steps(set_text, *detector, start, stop, step)
 
 
 class TestConstructCommand:

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unsharp import effects
+from unsharp.common import EXACT, NEG_INF, POS_INF
 from unsharp.effects import (
+    BoxDensity,
+    SmearedIndicator,
     box,
     constant,
     effect_range_on,
@@ -28,6 +31,8 @@ from unsharp.errors import CannotCertify, NotOrthogonal
 from unsharp.intervals import (
     EMPTY,
     REALS,
+    Interval,
+    IntervalSet,
     complement,
     difference,
     intersect,
@@ -39,7 +44,7 @@ from unsharp.intervals import (
 from unsharp.quadrature import adaptive_simpson
 from unsharp.setexpr import parse_set_expr as parse
 
-from strategies import interval_sets, rationals
+from strategies import colliding_interval_sets, colliding_rationals, interval_sets, rationals
 
 DENSITIES = [box(1), box(Fraction(1, 5)), triangle(Fraction(1, 2)), gaussian(Fraction(1, 5))]
 
@@ -452,3 +457,87 @@ def test_mass_conservation_between_set_and_complement(s, density):
     g = smear(complement(s), density)
     for q in (Fraction(-3, 2), Fraction(0), Fraction(11, 8)):
         assert abs(float(evaluate(f, q)) + float(evaluate(g, q)) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the integer closure of box and triangle smears against the generic one
+
+_half_lines = st.builds(
+    lambda t, right, closed: IntervalSet.from_intervals(
+        [Interval(t, POS_INF, closed, False) if right else Interval(NEG_INF, t, False, closed)]
+    ),
+    rationals,
+    st.booleans(),
+    st.booleans(),
+)
+_regions = st.one_of(
+    interval_sets(), colliding_interval_sets(), _half_lines, st.sampled_from([EMPTY, REALS])
+)
+# positive parameters over assorted denominators, some far below float spacing
+_sizes = st.one_of(
+    st.builds(Fraction, st.integers(1, 64), st.integers(1, 8)),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.sampled_from([Fraction(1, 3), Fraction(7, 2), Fraction(1, 10**40), Fraction(10**30, 7)]),
+)
+_detectors = st.one_of(
+    st.builds(box, _sizes),
+    st.builds(triangle, _sizes),
+    # a box off the centre, as a density model places it
+    st.builds(lambda lo, w: BoxDensity(lo, lo + w), rationals, _sizes),
+)
+_queries = st.one_of(
+    st.integers(-100, 100),
+    rationals,
+    colliding_rationals,
+    st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**9)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regions, _detectors, st.lists(_queries, min_size=1, max_size=8))
+def test_integer_closure_equals_the_generic_exact_closure(region, detector, queries):
+    f = SmearedIndicator(region, detector)
+    generic = f._build(EXACT)
+    # every knot q - t = k of each CDF term, where a branch changes
+    knots = [t + k for t in f._finite_endpoints for k in detector.knots()]
+    for q in queries + knots:
+        got, want = f._exact(q), generic(q)
+        assert got == want and type(got) is type(want), (q, got, want)
+
+
+@pytest.mark.parametrize("detector", [box(Fraction(2, 3)), triangle(Fraction(3, 5))], ids=str)
+def test_integer_closure_hits_every_branch(detector):
+    # each query on the grid 1/60 around the region takes every CDF branch
+    # somewhere; the values are exact and typed as the generic closure's
+    f = smear(parse("(-1, 1/4) | [1/2, 2] | {3}"), detector)
+    generic = f._build(EXACT)
+    kinds = set()
+    for k in range(-180, 301):
+        q = Fraction(k, 60)
+        got, want = f._exact(q), generic(q)
+        assert got == want and type(got) is type(want), q
+        kinds.add(type(got))
+    assert kinds == {int, Fraction}
+
+
+def test_integer_closure_passes_other_queries_to_the_generic_closure():
+    # a query without numerator and denominator (a float where the float
+    # closure fell back to the exact one) takes the generic route
+    f = smear(parse("(0, 1)"), triangle(Fraction(1, 2)))
+    for q in (0.1, -0.25, 0.75, 3.0):
+        assert repr(f._exact(q)) == repr(f._build(EXACT)(q))
+
+
+def test_integer_closure_with_no_finite_endpoint_reads_the_detector():
+    # the common denominator includes the detector's fields, so a region
+    # with no finite endpoint still gets a nonzero one
+    for region, want in ((REALS, 1), (EMPTY, 0)):
+        f = smear(region, triangle(Fraction(1, 3)))
+        for q in (Fraction(1, 7), 0, -5):
+            got = f._exact(q)
+            assert got == want and type(got) is int
+
+
+def test_gaussian_smear_keeps_the_generic_exact_closure():
+    f = smear(parse("(0, 1)"), gaussian(Fraction(1, 4)))
+    assert repr(f._exact(Fraction(1, 3))) == repr(f._build(EXACT)(Fraction(1, 3)))

@@ -1,7 +1,6 @@
 """Filter bases: certification, the half-line ambiguity, witnesses, the
 disjoint approach family, and convergence analysis."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -148,10 +147,10 @@ class TestCertificateHandBack:
     def test_replace_and_adjoin_carry_no_certificate(self, checks):
         base = adjoin(neighborhood_base(0, 16), project(parse("(0,inf)")), 16)
         cert = has_fmp(base, 16)
-        assert has_fmp(replace(base, tag=Fraction(0)), 16) == cert
+        assert has_fmp(base.replace(tag=Fraction(0)), 16) == cert
         assert checks == [16, 16]
         # a replaced base with other adjoined classes is checked afresh
-        far = replace(base, adjoined=(project(parse("(5,6)")),))
+        far = base.replace(adjoined=(project(parse("(5,6)")),))
         assert not has_fmp(far, 16).ok
         assert far.truncated_meet(1).is_zero
         deeper = adjoin(base, project(parse("(-inf, 1/100)")), 16)
@@ -165,7 +164,7 @@ class TestCertificateHandBack:
         base = adjoin(base, project(parse("(-inf, 1/8)")), 16)
         assert base.truncated_meet(2) == project(parse("(0, 1/8)"))
         assert base.truncated_meet(16) == project(parse("(0, 1/16)"))
-        assert replace(base, adjoined=()).truncated_meet(16) == project(parse("(-1/16, 1/16)"))
+        assert base.replace(adjoined=()).truncated_meet(16) == project(parse("(-1/16, 1/16)"))
 
 
 class TestLinearCheck:
@@ -212,7 +211,7 @@ class TestLinearCheck:
 
     def test_zero_meet_with_adjoined_classes(self):
         base = adjoin(filter_base([project(parse("(0,10)"))] * 3), project(parse("(2,9)")), 3)
-        base = replace(base, family=FiniteFamily(base.family.classes + (project(parse("(9,12)")),)))
+        base = base.replace(family=FiniteFamily(base.family.classes + (project(parse("(9,12)")),)))
         for k in (3, 4, 5):
             assert has_fmp(base, k) == self._scratch(base, k)
         assert not has_fmp(base, 5).ok

@@ -33,7 +33,7 @@ from unsharp.intervals import (
     union,
 )
 
-from unsharp.common import NEG_INF, POS_INF
+from unsharp.common import NEG_INF, POS_INF, is_infinite
 from unsharp.quotient import project
 
 from strategies import colliding_interval_sets, interval_sets, rationals
@@ -336,6 +336,23 @@ def test_measure_finitely_additive_on_disjoint(a, b):
         assert total == math.inf
     else:
         assert total == ma + mb
+
+
+def _measure_by_fraction_sums(a):
+    """measure as a fold of Fraction sums, the reference for the integer sum."""
+    if any(is_infinite(c.lo) or is_infinite(c.hi) for c in a.components):
+        return POS_INF
+    total = Fraction(0)
+    for c in a.components:
+        total += c.hi - c.lo
+    return total
+
+
+@settings(max_examples=300)
+@given(st.one_of(interval_sets(max_components=8), colliding_interval_sets()))
+def test_measure_equals_the_fraction_fold(a):
+    got, want = measure(a), _measure_by_fraction_sums(a)
+    assert got == want and type(got) is type(want)
 
 
 @settings(max_examples=200)

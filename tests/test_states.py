@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unsharp import states
+from unsharp import effects, states
 
 from unsharp.common import EXACT, FLOAT, UNDETERMINED, float_above, float_below
 from unsharp.effects import BoxDensity, GaussianDensity, box, constant, evaluate, gaussian, leq, neg, oplus, scale, smear, triangle
@@ -382,6 +382,24 @@ class TestSqueezeSkipsRounds:
         assert (fewer > 0) == bounded
         if name.endswith("half-line"):  # the point squeezes of the benchmark
             assert point_rounds < point_rounds_every / 2
+
+    def test_a_round_with_slack_below_the_threshold_is_evaluated(self):
+        # The first meet (0, 1/4) gets grid slack S = tol, which lies between
+        # tol and the threshold 2 tol + 2 _CLAMP_SLACK.  On the plateau, where
+        # f is 1/2 = its range's top, the bracket is [1/2 - S, 1/2] rounded,
+        # a hair narrower than S, so that round closes; skipping it on
+        # S >= tol would answer from the second meet instead.
+        f = scale(HALF, smear(parse("(-10, 10)"), box(1)))
+        base = filter_base([_cls("(0, 1/4)"), _cls("(0, 1/8)")])
+        slack = effects._grid_slack(f.lipschitz, 0.0, 0.25, effects._RANGE_PTS)
+        tol = slack
+        assert tol <= slack < 2.0 * tol + 2.0 * effects._CLAMP_SLACK
+        lo, hi = effects.effect_range_on(f, parse("(0, 1/4)"), tail_eps=tol / 8.0)
+        assert hi == 0.5 and hi - lo < tol
+        expected = _squeeze_every_round(base, f, 2, tol)
+        assert expected == 0.5 * (lo + hi)
+        got = filter_effect_value(base, f, 2, tol)
+        assert got == expected and type(got) is type(expected)
 
 
 class TestStateLaws:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from unsharp.common import POS_INF, FloatClosures
+from unsharp.common import DIVERGENT, POS_INF, UNDETERMINED, FloatClosures
 from unsharp.effects import (
     BoxDensity,
     Complemented,
@@ -26,6 +26,7 @@ from unsharp.effects import (
 )
 from unsharp.filters import (
     DisjointFamily,
+    FilterBase,
     FiniteFamily,
     FmpCertificate,
     NeighborhoodFamily,
@@ -130,6 +131,13 @@ VALUES = {
         lambda: TailFamily(3, -1),
         ("size", "direction"),
         "TailFamily(size=3, direction=-1)",
+        None,
+    ),
+    "FilterBase": (
+        lambda: FilterBase(NeighborhoodFamily("1/3", 4), certified_depth=4, tag=Fraction(1, 3)),
+        ("family", "adjoined", "certified_depth", "tag"),
+        "FilterBase(family=NeighborhoodFamily(center=Fraction(1, 3), size=4), adjoined=(), "
+        "certified_depth=4, tag=Fraction(1, 3))",
         None,
     ),
     "FmpCertificate": (
@@ -243,13 +251,38 @@ def test_pickle_and_copy(name):
             assert repr(query(twin)) == repr(answer)
 
 
-def test_importing_the_cli_leaves_verify_unloaded():
+@pytest.mark.parametrize("sentinel", [UNDETERMINED, DIVERGENT], ids=repr)
+def test_sentinels_survive_pickle_and_copy(sentinel):
+    for twin in (pickle.loads(pickle.dumps(sentinel)), copy.copy(sentinel), copy.deepcopy(sentinel)):
+        assert twin is sentinel
+
+
+def test_an_undetermined_row_stays_undetermined_through_pickle():
+    row = EffectRow("box", UNDETERMINED, Fraction(1, 2), 0.5, None)
+    report = IndistinguishabilityReport(Fraction(0), "(0, inf)", 1, 0, (row,), 1e-6)
+    for twin in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert twin.rows[0].undetermined and twin.rows[0].value_right is UNDETERMINED
+        assert twin.undetermined_count == 1 and twin.unsharp_agreement is True
+
+
+def test_frozen_filter_base_replace_builds_a_fresh_base():
+    base = VALUES["FilterBase"][0]()
+    base.adjoined_meet()
+    moved = base.replace(tag=Fraction(0))
+    assert moved == FilterBase(base.family, (), 4, Fraction(0)) and moved is not base
+    assert "_adjoined_meet" in vars(base) and "_adjoined_meet" not in vars(moved)
+    with pytest.raises(TypeError):
+        base.replace(size=3)
+
+
+def test_importing_the_cli_leaves_verify_and_dataclasses_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    names = ("unsharp.verify", "dataclasses", "inspect")
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, unsharp.cli; print('unsharp.verify' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, unsharp.cli; print([m in sys.modules for m in {names!r}])"],
         env=env,
         capture_output=True,
         text=True,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[False, False, False]\n", "")

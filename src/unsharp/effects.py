@@ -29,8 +29,8 @@ integer form is tested against, value and type.
 Effects form expression trees over smear and constant leaves with three node
 kinds: orthosum (built only after certifying the pointwise sum stays below
 one), rational scaling, and complement-in-one.  Every tree caches a certified
-range, a Lipschitz bound, both limits at infinity, and analytic tail bounds,
-and every node bounds its values on a panel [x0, x1] by ``enclose(x0, x1)``:
+range, a Lipschitz bound and both limits at infinity, and every node bounds
+its values on a panel [x0, x1], ends possibly infinite, by ``enclose``:
 a smear term F(q - a) - F(q - b) lies in
 [F(x0 - a) - F(x1 - b), F(x1 - a) - F(x0 - b)] ∩ [0, 1], and scaling,
 complement and orthosum pass enclosures on by interval arithmetic.  Each
@@ -40,19 +40,20 @@ value widened by ``_CDF_ERR``, a stated bound on its float error, and every
 inexact sum or product one step out.
 
 The certification helpers (orthogonality, vanishing at infinity) combine the
-exact bounds with one best-first branch and bound over enclosures,
-``_certify_upper``.  Ordering is orthogonality to the complement, f <= g
-exactly when f + (1 - g) <= 1, so :func:`leq` certifies through
-:func:`orthogonality`.  Smears through one detector, each possibly
-complemented (1 - smear(S) is smear(complement(S)) pointwise), are compared
-by their regions modulo null sets, which a smear ignores.  In the search, a
-panel whose enclosure settles the question is discharged, and any other is
-evaluated at its midpoint, which either refutes (and is the witness) or is
-bisected.  So a positive answer is always sound, and an inconclusive search
-raises :class:`~unsharp.errors.CannotCertify` instead of guessing.
-:func:`effect_range_on` still brackets by a Lipschitz grid, and
-:func:`range_stays_wide` reads that grid's slack to tell, without evaluating,
-when its bracket cannot be narrower than a given width.
+exact range bounds with one best-first branch and bound over enclosures,
+``_certify_upper``, on windows that cover the whole line or both tails.
+Ordering is orthogonality to the complement, f <= g exactly when
+f + (1 - g) <= 1, so :func:`leq` certifies through :func:`orthogonality`.
+Smears through one detector, each possibly complemented (1 - smear(S) is
+smear(complement(S)) pointwise), are compared by their regions modulo null
+sets, which a smear ignores.  In the search, a panel whose enclosure settles
+the question is discharged, and any other is evaluated at an inner point,
+``_split``, which either refutes (and is the witness) or splits it.  So a
+positive answer is always sound, and an inconclusive search raises
+:class:`~unsharp.errors.CannotCertify` instead of guessing.
+:func:`effect_range_on` alone still brackets by a Lipschitz grid and analytic
+tail bounds, and :func:`range_stays_wide` reads that grid's slack to tell,
+without evaluating, when its bracket cannot be narrower than a given width.
 """
 
 from __future__ import annotations
@@ -927,42 +928,47 @@ def evaluate(f: Effect, q):
 
 # midpoint evaluations one certificate may make before it gives up
 _EVAL_CAP = 1 << 13
-_TAIL_EPS = 2.0**-40
 
 
 def _grid_minmax(value_at, x0: float, x1: float, pts: int):
     step = (x1 - x0) / pts
-    vmin = math.inf
-    vmax = -math.inf
-    argmin = argmax = x0
-    for i in range(pts + 1):
-        x = x0 + i * step
-        v = float(value_at(x))
-        if v < vmin:
-            vmin, argmin = v, x
-        if v > vmax:
-            vmax, argmax = v, x
-    return vmin, argmin, vmax, argmax
+    values = [float(value_at(x0 + i * step)) for i in range(pts + 1)]
+    return min(values), max(values)
 
 
-def _certify_upper(h, upper, c: float, windows, settled: bool, message: str):
-    """Certify h <= c on the windows by best-first branch and bound.
+def _split(x0: float, x1: float) -> float:
+    """Where the search evaluates and splits the panel [x0, x1]: its midpoint
+    if finite, 0 for the whole line, and on a tail panel a point past twice
+    its finite end, so tail panels move out by doubling (to ±inf on
+    overflow)."""
+    if x0 == NEG_INF:
+        return 0.0 if x1 == POS_INF else 2.0 * min(x1, 0.0) - 1.0
+    if x1 == POS_INF:
+        return 2.0 * max(x0, 0.0) + 1.0
+    return 0.5 * x0 + 0.5 * x1
+
+
+def _certify_upper(h, upper, c: float, windows, message: str):
+    """Certify h <= c on the windows, whose ends may be infinite, by
+    best-first branch and bound.
 
     ``upper(x0, x1)`` bounds h from above on the panel [x0, x1].  A panel is
     discharged when that bound is at most c.  Otherwise the open panel with the
-    largest bound (ties broken by position) is evaluated at its midpoint m,
-    which refutes when ``h(m) > c + _CLAMP_SLACK``; if it does not, the panel
-    is bisected.  Returns the refuting ``(m, h(m))``, or None once every panel
-    is discharged and ``settled`` (the verdict outside the windows) holds.
-    Raises :class:`CannotCertify` with ``message`` otherwise, at the latest
-    after ``_EVAL_CAP`` midpoint evaluations."""
+    largest bound (ties broken by position) is evaluated at its split point m
+    (see :func:`_split`), which refutes when ``h(m) > c + _CLAMP_SLACK``; if it
+    does not, the panel is split at m.  Returns the refuting ``(m, h(m))``, or
+    None once every panel is discharged.  Raises :class:`CannotCertify` with
+    ``message`` otherwise: when a split point overflows, or at the latest after
+    ``_EVAL_CAP`` evaluations."""
     heap = [(-u, x0, x1) for x0, x1 in windows if (u := upper(x0, x1)) > c]
     heapq.heapify(heap)
     for _ in range(_EVAL_CAP):
         if not heap:
-            break
+            return None
         _, x0, x1 = heapq.heappop(heap)
-        m = 0.5 * x0 + 0.5 * x1
+        m = _split(x0, x1)
+        if math.isinf(m):
+            raise CannotCertify(message)
         v = h(m)
         if v > c + _CLAMP_SLACK:
             return m, v
@@ -970,7 +976,7 @@ def _certify_upper(h, upper, c: float, windows, settled: bool, message: str):
             u = upper(a, b)
             if u > c:
                 heapq.heappush(heap, (-u, a, b))
-    if heap or not settled:
+    if heap:
         raise CannotCertify(message)
     return None
 
@@ -989,9 +995,9 @@ def _smear_parts(f: Effect):
 
 
 def orthogonality(f: Effect, g: Effect):
-    """Certify sup(f + g) <= 1.  Returns None on success; raises
-    :class:`NotOrthogonal` with a witness point when refuted and
-    :class:`CannotCertify` when the refinement budget runs out.
+    """Certify sup(f + g) <= 1 over the whole line.  Returns None on success;
+    raises :class:`NotOrthogonal` with a finite witness point when refuted and
+    :class:`CannotCertify` when the search runs out of budget or of floats.
 
     Two smears through one detector, each possibly complemented, are
     orthogonal when their regions meet in a null set, since a smear ignores
@@ -1012,22 +1018,10 @@ def orthogonality(f: Effect, g: Effect):
         v = float(f.value_at(0.0)) + float(g.value_at(0.0))
         raise NotOrthogonal("sum exceeds 1 everywhere", witness_point=0.0, witness_value=v)
 
-    H = max(f.tail_radius(_TAIL_EPS), g.tail_radius(_TAIL_EPS), 1.0)
-    fo = f.outside_bounds(H)
-    go = g.outside_bounds(H)
-    for side, probe in ((0, -(H + 1.0)), (1, H + 1.0)):
-        if fo[side][0] + go[side][0] > 1:
-            v = float(f.value_at(probe)) + float(g.value_at(probe))
-            if v > 1:
-                raise NotOrthogonal(
-                    "sum exceeds 1 beyond the horizon", witness_point=probe, witness_value=v
-                )
-    out_hi = max(float(fo[0][1] + go[0][1]), float(fo[1][1] + go[1][1]))
-
     total = lambda x: float(f.value_at(x)) + float(g.value_at(x))
     upper = lambda x0, x1: _add_up(f.enclose(x0, x1)[1], g.enclose(x0, x1)[1])
     refuted = _certify_upper(
-        total, upper, 1.0, ((-H, H),), out_hi <= 1.0,
+        total, upper, 1.0, ((NEG_INF, POS_INF),),
         "orthogonality certification exhausted its grid budget",
     )
     if refuted is not None:
@@ -1087,32 +1081,22 @@ def leq(f: Effect, g: Effect) -> LeqResult:
 
 def vanishes_at_infinity(f: Effect, tol, horizon) -> bool:
     """Certify (or refute) that f stays at or below tol outside
-    [-horizon, horizon].  Exact for compact-support detectors, analytic tail
-    bounds for Gaussians; raises :class:`CannotCertify` when inconclusive."""
+    [-horizon, horizon]: by the certified range of f, else by a branch and
+    bound over the tails (-inf, -horizon) and (horizon, inf).  Raises
+    :class:`CannotCertify` when inconclusive, as for a Gaussian smear at
+    tol 0, whose tail is positive everywhere."""
     tol_f = float(tol)
     horizon_f = float(horizon)
     if horizon_f <= 0:
         raise ValueError("horizon must be positive")
-    (llo, lhi), (rlo, rhi) = f.outside_bounds(horizon)
-    if max(lhi, rhi) <= tol:
+    if f.range_hi <= tol:
         return True
-    if llo > tol or rlo > tol:
+    if f.range_lo > tol:
         return False
-
-    # the horizon cuts into the active zone: search the two rings out to H;
-    # where the tail bound beyond H exceeds tol, only a refutation can end it
-    eps = min(_TAIL_EPS, tol_f / 4 if tol_f > 0 else _TAIL_EPS)
-    H = max(f.tail_radius(eps), horizon_f)
-    (llo2, lhi2), (rlo2, rhi2) = f.outside_bounds(H)
-    settled = max(float(lhi2), float(rhi2)) <= tol_f
-    rings = tuple((x0, x1) for x0, x1 in ((-H, -horizon_f), (horizon_f, H)) if x1 > x0)
-    message = (
-        "vanishing certification exhausted its grid budget"
-        if settled
-        else "cannot certify vanishing: tail bound exceeds tolerance"
-    )
+    tails = ((NEG_INF, -horizon_f), (horizon_f, POS_INF))
     upper = lambda x0, x1: f.enclose(x0, x1)[1]
-    return _certify_upper(f.value_at, upper, tol_f, rings, settled, message) is None
+    message = "vanishing certification exhausted its grid budget"
+    return _certify_upper(f.value_at, upper, tol_f, tails, message) is None
 
 
 # grid steps effect_range_on takes over each component
@@ -1190,7 +1174,7 @@ def effect_range_on(f: Effect, region: IntervalSet, tail_eps: float = 1e-12):
         else:
             gb = float(b)
         if gb > ga:
-            vmin, _, vmax, _ = _grid_minmax(f.value_at, ga, gb, _RANGE_PTS)
+            vmin, vmax = _grid_minmax(f.value_at, ga, gb, _RANGE_PTS)
             slack = _grid_slack(L, ga, gb, _RANGE_PTS)
             lo = min(lo, vmin - slack)
             hi = max(hi, vmax + slack)

@@ -288,12 +288,18 @@ class TestVanishing:
         f = scale(Fraction(1, 2), smear(parse("(-10,10)"), box(1)))
         assert vanishes_at_infinity(f, Fraction(1, 2), 1) is True
 
-    def test_gaussian_tail_never_certifies_zero(self):
-        # the true tail is positive everywhere; a grid cannot refute it and
-        # the analytic bound never reaches zero, so the check stays honest
+    def test_gaussian_tail_never_certifies_zero(self, monkeypatch):
+        # the true tail is positive everywhere, so no point refutes and no
+        # enclosure reaches zero: the tail panels move out by doubling until
+        # a split point overflows, well before the evaluation cap
+        split, splits = effects._split, []
+        monkeypatch.setattr(effects, "_split", lambda x0, x1: splits.append(split(x0, x1)) or splits[-1])
         f = smear(parse("(0,1)"), gaussian(Fraction(1, 10)))
+        start = time.perf_counter()
         with pytest.raises(CannotCertify):
             vanishes_at_infinity(f, 0, 100)
+        assert time.perf_counter() - start < 1.0
+        assert math.isinf(splits[-1]) and len(splits) < effects._EVAL_CAP
 
 
 def test_touching_one_pairs_certify():

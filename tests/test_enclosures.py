@@ -5,10 +5,11 @@ must never certify what a fine grid refutes, and every witness it returns
 must refute."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unsharp.common import NEG_INF, POS_INF
@@ -16,12 +17,14 @@ from unsharp.effects import (
     _CDF_ERR,
     _add_down,
     _add_up,
+    _split,
     box,
     constant,
     gaussian,
     leq,
     neg,
     oplus,
+    orthogonality,
     scale,
     smear,
     triangle,
@@ -144,6 +147,61 @@ def test_single_point_components_add_nothing():
     assert smear(parse("[-2/3, -2/3]"), box(Fraction(3, 2))).enclose(NEG_INF, POS_INF) == (0, 0)
     f = smear(parse("[-3, -3] | [5, 5]"), triangle(Fraction(5, 4)))
     assert leq(f, smear(parse("(-2, 4]"), triangle(Fraction(1, 4))))
+
+
+# ---------------------------------------------------------------------------
+# the whole-line search
+
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+HALF_MAX = sys.float_info.max / 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_float, any_float)
+@example(-1e308, 1e308)
+@example(1.7e308, sys.float_info.max)
+@example(-5e-324, 5e-324)
+def test_split_is_strictly_inside_a_finite_panel(a, b):
+    x0, x1 = min(a, b), max(a, b)
+    assume(math.nextafter(x0, POS_INF) < x1)
+    assert x0 < _split(x0, x1) < x1
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_float)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(1.0)
+@example(-1.0)
+@example(8e307)
+@example(-8e307)
+@example(1e308)
+@example(-1e308)
+def test_split_moves_a_tail_panel_out_by_doubling(x):
+    """Inside the panel, at least twice as far out as its finite end and 1
+    past 0; infinite only where doubling overflows."""
+    left, right = _split(NEG_INF, x), _split(x, POS_INF)
+    assert left < x and left <= min(2.0 * x, -1.0)
+    assert right > x and right >= max(2.0 * x, 1.0)
+    assert math.isinf(left) == (x < -HALF_MAX)
+    assert math.isinf(right) == (x > HALF_MAX)
+    assert _split(NEG_INF, POS_INF) == 0.0
+
+
+def test_a_far_tail_refutes_with_a_finite_witness():
+    # each sum exceeds 1 only beyond 10**9, which only a tail panel reaches
+    f, half = smear(parse("(1000000000, inf)"), gaussian(1)), constant(Fraction(1, 2))
+    with pytest.raises(NotOrthogonal) as info:
+        orthogonality(f, half)
+    x = info.value.witness_point
+    assert math.isfinite(x) and x > 1e9
+    assert float(f.value_at(x)) + float(half.value_at(x)) > 1
+    g = smear(parse("(-inf, -1000000000)"), box(1))
+    res = leq(g, half)
+    x = res.witness_point
+    assert not res and math.isfinite(x) and x < -1e9
+    assert float(g.value_at(x)) > 1 / 2
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -324,6 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # a token such as -1/2 or -1e-3 is a value, as -1 and -0.5 already are
+        # (no option here starts with a dash and a digit)
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--seed", type=int, help="RNG seed (default: UNSHARP_SEED or built-in)")
         p.add_argument("--out", help="write primary output to this file")

@@ -229,12 +229,33 @@ _ends = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 )
 def test_smear_rows_equal_the_stepping_loop(set_text, detector, start, stop, step):
     argv = ["smear", "--set", set_text, "--density", detector[0], "--param", detector[1]]
-    # "--to=-1/2": argparse would read a bare "-1/2" as an option
     argv += [f"--from={start}", f"--to={stop}", f"--step={step}"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(argv) == 0
     assert out.getvalue().splitlines() == _smear_rows_by_steps(set_text, *detector, start, stop, step)
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (
+            ["smear", "--set", "R", "--density", "box", "--param", "1"]
+            + ["--from", "-1/2", "--to", "0", "--step", "1/4"],
+            "q,value",
+        ),
+        (["sets", "--expr", "(-1, 0)", "--contains", "-3/4"], "true"),
+        (["construct", "--lambda", "-1/3", "--m", "2", "--depth", "2", "--format", "json"], "{"),
+    ],
+)
+def test_dash_leading_rationals_are_values(argv, first_line, capsys):
+    # "--from -1/2" reads as "--from=-1/2", though argparse alone takes only
+    # plain negative numbers such as -1 and -0.5 for values
+    code, out, err = run_capture(argv, capsys)
+    assert code == 0 and err == "" and out.splitlines()[0] == first_line
+    k = next(i for i, a in enumerate(argv) if a[0] == "-" and a[1].isdigit())
+    glued = argv[: k - 1] + [f"{argv[k - 1]}={argv[k]}"] + argv[k + 1 :]
+    assert run_capture(glued, capsys) == (0, out, "")
 
 
 class TestConstructCommand:
